@@ -2,22 +2,40 @@
 
 Implements the paper's Algorithm 4.  The candidate FD ``X → Y`` is
 checked using a partition ``π_X'`` with ``X' ⊆ X``: each source cluster
-is refined to X-granularity *one cluster at a time* (so the refinement
-work is abandoned as soon as every RHS attribute is invalidated), and
-within each refined cluster every row is compared against the cluster's
-first row.  Violating pairs contribute their full agree set ``Z`` as
-the non-FD ``Z ↛ R − Z`` — strictly more general evidence than the
-single invalid FD, which is exactly what synergized induction wants.
+is refined to X-granularity by the LHS attributes ``π_X'`` lacks, and
+every row of a refined cluster is compared against the cluster's first
+row.  Violating pairs contribute their full agree set ``Z`` as the
+non-FD ``Z ↛ R − Z`` — strictly more general evidence than the single
+invalid FD, which is exactly what synergized induction wants.  The
+work stops as soon as every RHS attribute is invalidated.
+
+Both backends run behind one kernel call per validation
+(:func:`repro.partitions.kernels.validate_clusters`), which takes the
+partition in its flat ``(rows, lengths)`` form
+(:meth:`StrippedPartition.flat`, built once per partition):
+
+* ``numpy`` — the batched kernel.  It takes the source clusters in
+  batches of geometrically growing row counts, splits a whole batch
+  with one sort, compares every row with its pivot in one array
+  comparison, and replays the witness rule over the few violating rows
+  only, so the early exit survives at batch granularity.
+* ``python`` — the per-cluster reference loop over the cluster lists,
+  refining and comparing one source cluster at a time; it is the
+  differential oracle.
+
+Both return the same :class:`ValidationResult`: the same surviving
+RHS, the same non-FD set and the same comparison count, so covers and
+discovery statistics do not depend on the backend.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 import numpy as np
 
 from ..partitions import kernels
-from ..partitions.stripped import Cluster, StrippedPartition
+from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
 from ..relational.attrset import AttrSet
 from ..relational.relation import Relation
@@ -48,51 +66,40 @@ def validate_fd(
 
     Returns the surviving RHS attributes and the agree-set non-FDs of
     every violating pair encountered before the early exit.  ``backend``
-    selects the kernel backend for the per-cluster refinement step.
+    selects the kernel backend (see :func:`kernels.validate_clusters`).
     """
-    if not attrset.is_subset(partition.attrs, lhs):
+    rows, lengths = partition.flat()
+    return validate_flat(
+        relation, lhs, rhs, partition.attrs, rows, lengths, backend=backend
+    )
+
+
+def validate_flat(
+    relation: Relation,
+    lhs: AttrSet,
+    rhs: AttrSet,
+    attrs: AttrSet,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    backend: Optional[str] = None,
+) -> ValidationResult:
+    """:func:`validate_fd` with π_X' (``X' = attrs``) in the flat
+    ``(rows, lengths)`` form partitions are shipped to pool workers in."""
+    if not attrset.is_subset(attrs, lhs):
         raise ValueError(
             "validation partition must refine a subset of the FD's LHS"
         )
-    matrix = relation.matrix()
-    n_cols = relation.n_cols
-    missing = attrset.to_list(attrset.difference(lhs, partition.attrs))
-    missing_codes = [relation.codes(attr) for attr in missing]
-
-    valid_rhs = rhs
-    non_fds: Set[AttrSet] = set()
-    comparisons = 0
-    # Rows are compared against their cluster's pivot in vectorized
-    # chunks: small enough that an early invalidation skips most of a
-    # large cluster, large enough that numpy does the heavy lifting.
-    chunk_size = 64
-
-    for source_cluster in partition.clusters:
-        if missing_codes:
-            clusters: List[Cluster] = kernels.refine_clusters(
-                missing_codes, [source_cluster], backend=backend
-            )
-        else:
-            clusters = [source_cluster]
-        for cluster in clusters:
-            pivot = matrix[cluster[0]]
-            for start in range(1, len(cluster), chunk_size):
-                rows = cluster[start:start + chunk_size]
-                comparisons += len(rows)
-                diff = matrix[rows] != pivot  # (chunk, n_cols) bool
-                for attr in attrset.iter_attrs(valid_rhs):
-                    column = diff[:, attr]
-                    if not column.any():
-                        continue
-                    witness = int(np.argmax(column))
-                    disagree = attrset.EMPTY
-                    for col in np.nonzero(diff[witness])[0]:
-                        disagree = attrset.add(disagree, int(col))
-                    valid_rhs = attrset.difference(valid_rhs, disagree)
-                    non_fds.add(attrset.complement(disagree, n_cols))
-                    if not valid_rhs:
-                        return ValidationResult(valid_rhs, non_fds, comparisons)
-    return ValidationResult(valid_rhs, non_fds, comparisons)
+    missing = attrset.iter_attrs(attrset.difference(lhs, attrs))
+    return ValidationResult(
+        *kernels.validate_clusters(
+            relation.matrix(),
+            [relation.codes(attr) for attr in missing],
+            rhs,
+            rows,
+            lengths,
+            backend=backend,
+        )
+    )
 
 
 def check_fd(

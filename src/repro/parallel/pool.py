@@ -10,13 +10,13 @@ attaches every worker to those segments, and then ships *work items* —
 candidate ``(LHS, RHS, partition)`` triples, FD LHSs, or per-attribute
 cluster lists — batched by :func:`chunk_items` to amortize dispatch
 overhead.  Partitions travel as flat ``(rows, lengths)`` index arrays
-(:func:`repro.partitions.kernels.flatten_clusters`); workers rebuild
-them and run the exact serial primitives (``validate_fd``,
-``redundant_rows_for_lhs``, the sorted-neighborhood helpers) against
-the shared view.  Results come back tagged with their item index and
-are merged in submission order by the reducers in
-:mod:`repro.parallel.merge`, so the combined covers, stats and masks
-are byte-identical for any worker count.
+(:func:`repro.partitions.kernels.flatten_clusters`); workers run the
+exact serial primitives (``validate_flat``, which hands the arrays
+straight to the validation kernel, ``redundant_rows_for_lhs``, the
+sorted-neighborhood helpers) against the shared view.  Results come
+back tagged with their item index and are merged in submission order
+by the reducers in :mod:`repro.parallel.merge`, so the combined
+covers, stats and masks are byte-identical for any worker count.
 
 Failure model
 -------------
@@ -109,16 +109,14 @@ def _summarize_tracer(tracer: Optional[Tracer]) -> Optional[dict]:
 
 
 def _validate_batch(view: SharedRelationView, payload: dict) -> list:
-    from ..core.validation import validate_fd
-    from ..partitions.stripped import StrippedPartition
+    from ..core.validation import validate_flat
 
     backend = payload["backend"]
     out = []
     for index, lhs, rhs, part_attrs, rows, lengths in payload["items"]:
-        partition = StrippedPartition.from_flat(
-            part_attrs, rows, lengths, view.n_rows
+        outcome = validate_flat(
+            view, lhs, rhs, part_attrs, rows, lengths, backend=backend
         )
-        outcome = validate_fd(view, lhs, rhs, partition, backend=backend)
         out.append(
             (index, outcome.valid_rhs, sorted(outcome.non_fd_lhs), outcome.comparisons)
         )
@@ -446,7 +444,7 @@ def validate_level(
 
     payload_items = []
     for index, (lhs, rhs, partition) in enumerate(items):
-        rows, lengths = kernels.flatten_clusters(partition.clusters)
+        rows, lengths = partition.flat()
         payload_items.append((index, lhs, rhs, partition.attrs, rows, lengths))
     raw = executor.run("validate", payload_items)
     results: List[Optional[ValidationResult]] = [None] * len(payload_items)

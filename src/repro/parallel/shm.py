@@ -16,7 +16,7 @@ pool of N workers holds one copy of the data, not N+1.
 The view duck-types the slice of the ``Relation`` interface the
 compute paths use — ``matrix()``, ``codes(attr)``, ``null_mask(attr)``,
 ``n_rows``, ``n_cols`` — which lets workers run the exact same
-functions (``validate_fd``, ``redundant_rows_for_lhs``, the sampling
+functions (``validate_flat``, ``redundant_rows_for_lhs``, the sampling
 helpers) the serial path runs, keeping results byte-identical.
 
 Lifecycle: with the memplane enabled (the default) the buffers are a

@@ -1,10 +1,11 @@
 """Backend-switchable kernels for the partition and agree-set hot paths.
 
-Every discovery algorithm in this library bottoms out in four array
+Every discovery algorithm in this library bottoms out in five array
 operations: grouping rows by codes (partition construction), splitting
 existing clusters by more codes (Algorithm 5 refinement), the TANE
-partition product, and agree-set computation over row pairs.  This
-module implements each operation twice:
+partition product, agree-set computation over row pairs, and FD
+validation against a partition (Algorithm 4).  This module implements
+each operation twice:
 
 * ``backend="python"`` — the original per-row dict/loop reference
   implementations, kept as the differential-testing oracle;
@@ -31,6 +32,7 @@ seconds histogram, so traces show exactly where partition time goes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 import time
@@ -38,6 +40,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..relational import attrset
 from ..relational.attrset import AttrSet
 from ..telemetry import current_tracer
 
@@ -129,9 +132,7 @@ def flatten_clusters(
     workers: two int64 arrays instead of nested Python lists.  Inverse
     of :func:`unflatten_clusters`.
     """
-    lengths = np.fromiter(
-        (len(c) for c in clusters), dtype=np.int64, count=len(clusters)
-    )
+    lengths = np.fromiter(map(len, clusters), dtype=np.int64, count=len(clusters))
     rows = np.fromiter(
         itertools.chain.from_iterable(clusters),
         dtype=np.int64,
@@ -518,3 +519,226 @@ def _pairwise_agree_sets_numpy(matrix: np.ndarray) -> Set[AttrSet]:
     for i in range(n_rows - 1):
         agree_sets.update(_pack_bool_rows(matrix[i + 1:] == matrix[i]))
     return agree_sets
+
+
+# ----------------------------------------------------------------------
+# Validation: Algorithm 4 over a whole partition
+# ----------------------------------------------------------------------
+
+#: Rows compared against their pivot per step of Algorithm 4.  The
+#: witness rule restarts its attribute scan at every step, so both
+#: backends must step through each cluster in chunks of this size.
+VALIDATE_CHUNK = 64
+#: Source rows in the numpy backend's first batch; each later batch
+#: takes twice as many, so an early exit leaves most rows untouched.
+_FIRST_BATCH_ROWS = 256
+
+#: ``(valid_rhs, non_fd_lhs, comparisons)`` of one validation.
+Validation = Tuple[AttrSet, Set[AttrSet], int]
+
+
+def validate_clusters(
+    matrix: np.ndarray,
+    codes_list: Sequence[np.ndarray],
+    rhs: AttrSet,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+    backend: Optional[str] = None,
+) -> Validation:
+    """Algorithm 4: check which of ``rhs`` survive the refined clusters.
+
+    The clusters come in their flat ``(rows, lengths)`` form
+    (:func:`flatten_clusters`).  Every cluster is split by
+    ``codes_list`` (the LHS attributes the partition does not yet
+    refine on), and every row of a sub-cluster is compared with the
+    sub-cluster's first row, the pivot, in chunks of
+    :data:`VALIDATE_CHUNK` rows.  Within a chunk each still-valid RHS
+    attribute, in ascending order, takes the first disagreeing row as
+    its witness; the witness's disagree set ``D`` invalidates
+    ``rhs ∩ D`` and records the non-FD LHS ``R − D``.  The call returns
+    as soon as no RHS attribute is left, counting the comparisons of
+    every chunk up to and including that one.
+    """
+    backend = resolve_backend(backend)
+    tracer = current_tracer()
+    start = time.perf_counter() if tracer.enabled else 0.0
+    if backend == "numpy":
+        result = _validate_numpy(matrix, codes_list, rhs, rows, lengths)
+    else:
+        clusters = unflatten_clusters(rows, lengths)
+        result = _validate_python(matrix, codes_list, rhs, clusters)
+    if tracer.enabled:
+        _record(tracer, "validate", backend, time.perf_counter() - start)
+    return result
+
+
+def _validate_python(
+    matrix: np.ndarray,
+    codes_list: Sequence[np.ndarray],
+    rhs: AttrSet,
+    clusters: Sequence[Cluster],
+) -> Validation:
+    """The per-cluster reference: refine one source cluster at a time."""
+    n_cols = matrix.shape[1]
+    valid_rhs = rhs
+    non_fds: Set[AttrSet] = set()
+    comparisons = 0
+    for source_cluster in clusters:
+        if codes_list:
+            refined = _refine_clusters_python(codes_list, [source_cluster])
+        else:
+            refined = [source_cluster]
+        for cluster in refined:
+            pivot = matrix[cluster[0]]
+            for start in range(1, len(cluster), VALIDATE_CHUNK):
+                rows = cluster[start:start + VALIDATE_CHUNK]
+                comparisons += len(rows)
+                diff = matrix[rows] != pivot  # (chunk, n_cols) bool
+                for attr in attrset.iter_attrs(valid_rhs):
+                    column = diff[:, attr]
+                    if not column.any():
+                        continue
+                    witness = int(np.argmax(column))
+                    disagree = attrset.EMPTY
+                    for col in np.nonzero(diff[witness])[0]:
+                        disagree = attrset.add(disagree, int(col))
+                    valid_rhs = attrset.difference(valid_rhs, disagree)
+                    non_fds.add(attrset.complement(disagree, n_cols))
+                    if not valid_rhs:
+                        return valid_rhs, non_fds, comparisons
+    return valid_rhs, non_fds, comparisons
+
+
+def _validate_numpy(
+    matrix: np.ndarray,
+    codes_list: Sequence[np.ndarray],
+    rhs: AttrSet,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+) -> Validation:
+    """The batched kernel: a few array passes per batch of source clusters.
+
+    Source clusters are taken in batches of geometrically growing row
+    counts.  Each batch is split by one stable sort and compared with
+    its pivots in one array comparison; only the rows that disagree on
+    a still-valid RHS attribute are then replayed, in the order the
+    per-cluster reference visits them, to pick the same witnesses.
+    """
+    full = (1 << matrix.shape[1]) - 1
+    valid_rhs = rhs
+    non_fds: Set[AttrSet] = set()
+    comparisons = 0
+    ends = np.cumsum(lengths).tolist()
+    first, offset, budget = 0, 0, _FIRST_BATCH_ROWS
+    while first < len(ends):
+        stop = min(bisect.bisect_left(ends, offset + budget) + 1, len(ends))
+        end = ends[stop - 1]
+        valid_rhs, done, used = _validate_batch(
+            matrix, codes_list, full, valid_rhs, non_fds,
+            rows[offset:end], lengths[first:stop],
+        )
+        comparisons += used
+        if done:
+            break
+        first, offset, budget = stop, end, 2 * budget
+    return valid_rhs, non_fds, comparisons
+
+
+def _validate_batch(
+    matrix: np.ndarray,
+    codes_list: Sequence[np.ndarray],
+    full: AttrSet,
+    valid_rhs: AttrSet,
+    non_fds: Set[AttrSet],
+    rows: np.ndarray,
+    lengths: np.ndarray,
+) -> Tuple[AttrSet, bool, int]:
+    """Validate one batch of source clusters; adds to ``non_fds``.
+
+    Returns the surviving RHS, whether the validation is over (no RHS
+    attribute left) and the comparisons it made.
+    """
+    n = len(rows)
+    if n < 2:
+        return valid_rhs, False, 0
+    cids = np.repeat(np.arange(len(lengths)), lengths)
+    # Split: sort stably by source cluster, then by the missing
+    # attributes' codes.  Each run of equal keys is a sub-cluster (a
+    # group); its first row is the pivot, the rest are compared to it.
+    key = _group_key(cids, [codes[rows] for codes in codes_list])
+    if codes_list:
+        order = np.argsort(key, kind="stable")
+        rows, cids, key = rows[order], cids[order], key[order]
+    bounds = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    starts = bounds[:-1]
+    sizes = bounds[1:] - starts
+    compared = n - len(starts)
+    if compared == 0:
+        return valid_rhs, False, 0
+    # Compare: every row against its group's pivot (pivots match
+    # themselves, so they never show up as violations).
+    diff = matrix[rows] != np.repeat(matrix[rows[starts]], sizes, axis=0)
+    if valid_rhs == full:
+        bad = diff.any(axis=1)
+    else:
+        bad = diff[:, attrset.to_list(valid_rhs)].any(axis=1)
+    violating = np.flatnonzero(bad)
+    if len(violating) == 0:
+        return valid_rhs, False, compared
+    # Replay the violating rows in the reference's visiting order:
+    # sub-clusters by (source cluster, first row), each stepped through
+    # in chunks of VALIDATE_CHUNK compared rows.
+    counts = sizes - 1
+    visit = np.argsort(cids[starts] * len(matrix) + rows[starts])
+    visit_counts = counts[visit]
+    before = np.empty_like(counts)  # rows compared before each group
+    before[visit] = np.cumsum(visit_counts) - visit_counts
+    group = np.repeat(np.arange(len(starts)), sizes)[violating]
+    position = violating - starts[group]  # 1-based: the pivot is 0
+    replay = np.argsort(before[group] + position)
+    chunk_end = before[group] + np.minimum(
+        (position - 1) // VALIDATE_CHUNK * VALIDATE_CHUNK + VALIDATE_CHUNK,
+        counts[group],
+    )
+    masks = _pack_bool_rows(diff[violating[replay]])
+    chunk_ends = chunk_end[replay].tolist()
+    i, total = 0, len(masks)
+    while i < total:
+        # chunk_end identifies a chunk: it grows strictly along the visit.
+        chunk_id = chunk_ends[i]
+        j = i + 1
+        while j < total and chunk_ends[j] == chunk_id:
+            j += 1
+        chunk = masks[i:j]
+        seen = 0
+        for mask in chunk:
+            seen |= mask
+        # Like the reference: the attributes still valid at the chunk's
+        # start, each witnessed by the chunk's first row disagreeing on it.
+        for attr in attrset.iter_attrs(valid_rhs & seen):
+            bit = 1 << attr
+            disagree = next(mask for mask in chunk if mask & bit)
+            valid_rhs &= ~disagree
+            non_fds.add(full & ~disagree)
+            if not valid_rhs:
+                return valid_rhs, True, chunk_id
+        i = j
+    return valid_rhs, False, compared
+
+
+def _group_key(cids: np.ndarray, keys: List[np.ndarray]) -> np.ndarray:
+    """One int64 per row, equal exactly where ``(cid, *keys)`` are.
+
+    Mixed-radix packing of the non-negative DIIS codes; when the next
+    digit could overflow, the key so far is first replaced by its dense
+    rank, which is below the row count.
+    """
+    key, bound = cids, len(cids)
+    for column in keys:
+        radix = int(column.max()) + 1
+        if bound * radix >= 2**63:
+            key = np.unique(key, return_inverse=True)[1].reshape(-1)
+            bound = len(key)
+        key = key * radix + column
+        bound *= radix
+    return key

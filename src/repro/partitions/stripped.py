@@ -23,7 +23,7 @@ argument (``None`` uses the process default).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,12 +45,14 @@ class StrippedPartition:
         n_rows: the number of rows of the underlying relation.
     """
 
-    __slots__ = ("attrs", "clusters", "n_rows")
+    __slots__ = ("attrs", "clusters", "n_rows", "_size", "_flat")
 
     def __init__(self, attrs: AttrSet, clusters: Sequence[Cluster], n_rows: int):
         self.attrs = attrs
         self.clusters: List[Cluster] = [list(c) for c in clusters]
         self.n_rows = n_rows
+        self._size = sum(map(len, self.clusters))
+        self._flat: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @classmethod
     def _from_kernel(
@@ -61,25 +63,13 @@ class StrippedPartition:
         partition.attrs = attrs
         partition.clusters = clusters
         partition.n_rows = n_rows
+        partition._size = sum(map(len, clusters))
+        partition._flat = None
         return partition
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-
-    @classmethod
-    def from_flat(
-        cls,
-        attrs: AttrSet,
-        rows: np.ndarray,
-        lengths: np.ndarray,
-        n_rows: int,
-    ) -> "StrippedPartition":
-        """Rebuild a partition from its flat ``(rows, lengths)`` transport
-        form (:func:`repro.partitions.kernels.flatten_clusters`)."""
-        return cls._from_kernel(
-            attrs, kernels.unflatten_clusters(rows, lengths), n_rows
-        )
 
     @classmethod
     def universal(cls, relation: Relation) -> "StrippedPartition":
@@ -128,7 +118,7 @@ class StrippedPartition:
     @property
     def size(self) -> int:
         """``||π_X||``: total number of tuples inside the clusters."""
-        return sum(len(c) for c in self.clusters)
+        return self._size
 
     @property
     def error(self) -> int:
@@ -142,6 +132,14 @@ class StrippedPartition:
     def memory_bytes(self) -> int:
         """Rough memory footprint (row indices at 8 bytes each)."""
         return 8 * self.size + 64 * len(self.clusters)
+
+    def flat(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The clusters as flat ``(rows, lengths)`` arrays
+        (:func:`~repro.partitions.kernels.flatten_clusters`), built on
+        first use and kept: the partition never changes."""
+        if self._flat is None:
+            self._flat = kernels.flatten_clusters(self.clusters)
+        return self._flat
 
     def __len__(self) -> int:
         return len(self.clusters)

@@ -70,6 +70,26 @@ class TestMeasures:
         assert len(partition) == 2
         assert sum(len(c) for c in partition) == partition.size
 
+    def test_size_of_every_constructor(self, city_relation):
+        built = [
+            StrippedPartition(attrset.singleton(0), [[0, 1], [2, 3, 4]], 6),
+            StrippedPartition.universal(city_relation),
+            StrippedPartition.for_attrs(city_relation, attrset.from_attrs([1, 2])),
+            StrippedPartition.for_attribute(city_relation, 2).refine(city_relation, 1),
+        ]
+        for partition in built:
+            assert partition.size == sum(len(c) for c in partition.clusters)
+            assert partition.memory_bytes() == (
+                8 * partition.size + 64 * partition.num_clusters
+            )
+
+    def test_flat_is_built_once(self, city_relation):
+        partition = StrippedPartition.for_attribute(city_relation, 2)
+        rows, lengths = partition.flat()
+        assert partition.flat()[0] is rows
+        assert lengths.tolist() == [len(c) for c in partition.clusters]
+        assert rows.tolist() == [row for c in partition.clusters for row in c]
+
 
 class TestRefinement:
     def test_refine_matches_direct(self, city_relation):
