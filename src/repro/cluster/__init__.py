@@ -27,7 +27,8 @@ pipeline runs.  See ``docs/cluster.md``.
 
 from .controller import Cluster
 from .manager import ReplicaHandle, ReplicaManager, ReplicaStartupError
-from .router import Router, RouterError, merge_health, merge_metrics, upload_fingerprint
+from ..service.routes import merge_health, merge_metrics, upload_fingerprint
+from .router import Router, RouterError
 from .topology import RoutingTable, shard_for
 
 __all__ = [

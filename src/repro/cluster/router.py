@@ -6,30 +6,12 @@ file descriptor each, not a stack.  It speaks the exact
 :mod:`repro.service` protocol, which means :class:`ServiceClient`
 works against a cluster unchanged.
 
-Routing rules (see :mod:`repro.cluster.topology`):
-
-* ``POST /datasets`` — the router parses the upload, computes
-  :meth:`Relation.fingerprint`, and hashes it to a shard, so the same
-  content always lands on the same replica no matter who uploads it; a
-  ``colocate_with`` body key instead routes the upload to the named
-  dataset's shard (multi-table schemas need their base tables on one
-  replica);
-* ``POST /datasets/<ref>/append``, ``POST /discover``, ``POST /rank``
-  — routed by the referenced dataset (pinned entry, else fingerprint
-  hash); append responses pin the *new* fingerprint to the parent's
-  shard;
-* ``POST /multitable/schemas`` — requires every referenced table on
-  one shard (409 otherwise — re-upload with ``colocate_with``);
-  responses pin the schema fingerprint and name to that shard, and
-  ``POST /multitable/discover`` / ``GET /multitable/schemas/<ref>``
-  follow the pin;
-* ``GET/POST /jobs...`` — job ids are namespaced ``s<shard>:<id>`` on
-  the way out and routed by that prefix on the way back in;
-* ``GET /health``, ``GET /metrics``, ``GET /datasets``, ``GET /jobs``
-  — fanned out to every live replica and merged (metrics counters are
-  re-published under per-replica prefixes plus ``cluster.*`` totals);
-* ``GET /cluster`` — router-local topology: replicas table, pinned
-  routes, router counters.
+Each request is placed by its row in :data:`repro.service.routes.ROUTES`,
+the one list of endpoints: fanned out to every live replica and merged,
+routed by a job id's ``s<shard>:`` prefix, routed by the shard that
+owns the references it names (pinned entry, else fingerprint hash; see
+:mod:`repro.cluster.topology`), or answered by the router itself
+(``GET /cluster``).
 
 A request for a shard that is down is answered ``503`` with a
 ``Retry-After`` header immediately — never a hang — and the shard
@@ -47,40 +29,30 @@ import socket
 import threading
 import time
 import urllib.parse
+from http import HTTPStatus
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..relational.io import read_csv_text
-from ..relational.relation import Relation
-from ..service.server import MAX_BODY_BYTES
+from ..service.routes import (
+    BadRequest,
+    HTTPError,
+    Request,
+    Route,
+    content_length,
+    match,
+    parse_body,
+    prefix_job_ids,
+)
 from .topology import RoutingTable
 
 #: Prefixed job ids: ``s<shard>:<replica-local job id>``.
 _JOB_REF = re.compile(r"^s(\d+):(.+)$")
 
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    409: "Conflict",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+#: Largest header block (bytes before the blank line) a message may have.
+MAX_HEADER_BYTES = 65536
 
 
 class RouterError(RuntimeError):
     """Fatal router setup/runtime failure."""
-
-
-class _PlanError(Exception):
-    """A routing decision that ends in an immediate error response."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
 
 
 # ----------------------------------------------------------------------
@@ -141,9 +113,11 @@ class _HTTPParser:
     def _advance(self) -> None:
         if self.headers is None:
             idx = self.buf.find(b"\r\n\r\n")
+            # Unterminated, the block is at least len(buf) - 3 bytes long.
+            if idx > MAX_HEADER_BYTES or (idx < 0 and len(self.buf) - 3 > MAX_HEADER_BYTES):
+                self.error = "header block too large"
+                return
             if idx < 0:
-                if len(self.buf) > 65536:
-                    self.error = "header block too large"
                 return
             try:
                 head = bytes(self.buf[:idx]).decode("latin-1")
@@ -174,17 +148,14 @@ class _HTTPParser:
                     headers[key.strip().lower()] = value.strip()
             self.headers = headers
             raw_length = headers.get("content-length")
-            if raw_length is not None:
+            if raw_length is not None or self.kind == "request":
+                # A request without one has no body: chunked uploads are
+                # unsupported.
                 try:
-                    self.content_length = int(raw_length)
-                except ValueError:
-                    self.error = f"malformed Content-Length: {raw_length!r}"
+                    self.content_length = content_length(raw_length)
+                except BadRequest as exc:
+                    self.error = str(exc)
                     return
-                if self.content_length > MAX_BODY_BYTES:
-                    self.error = f"body exceeds {MAX_BODY_BYTES} bytes"
-                    return
-            elif self.kind == "request":
-                self.content_length = 0  # chunked uploads unsupported
         if self.content_length is not None and not self.complete:
             if len(self.buf) >= self.content_length:
                 self.body = bytes(self.buf[: self.content_length])
@@ -221,7 +192,10 @@ def _serialize_response(
     content_type: str = "application/json",
     retry_after: Optional[int] = None,
 ) -> bytes:
-    reason = _REASONS.get(status, "Unknown")
+    try:
+        reason = HTTPStatus(status).phrase
+    except ValueError:
+        reason = "Unknown"
     lines = [
         f"HTTP/1.1 {status} {reason}",
         f"Content-Type: {content_type}",
@@ -231,169 +205,6 @@ def _serialize_response(
     if retry_after is not None:
         lines.append(f"Retry-After: {retry_after}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-# ----------------------------------------------------------------------
-# Merging fanned-out replica payloads
-# ----------------------------------------------------------------------
-
-
-def _replica_name(shard: int) -> str:
-    return f"replica-{shard}"
-
-
-def merge_health(per_shard: Sequence[Optional[dict]]) -> dict:
-    """Cluster /health: ok only when every shard answered ok."""
-    replicas: Dict[str, dict] = {}
-    datasets = cached = 0
-    jobs: Dict[str, int] = {}
-    healthy = 0
-    for shard, payload in enumerate(per_shard):
-        name = _replica_name(shard)
-        if payload is None:
-            replicas[name] = {"status": "down"}
-            continue
-        healthy += 1
-        replicas[name] = payload
-        datasets += int(payload.get("datasets", 0))
-        cached += int(payload.get("cached_results", 0))
-        for key, value in (payload.get("jobs") or {}).items():
-            if isinstance(value, (int, float)):
-                jobs[key] = jobs.get(key, 0) + value
-    status = "ok" if healthy == len(per_shard) else ("degraded" if healthy else "down")
-    return {
-        "status": status,
-        "replicas": replicas,
-        "shards": len(per_shard),
-        "healthy": healthy,
-        "datasets": datasets,
-        "cached_results": cached,
-        "jobs": jobs,
-    }
-
-
-def merge_metrics(per_shard: Sequence[Optional[dict]]) -> dict:
-    """Cluster /metrics: per-replica prefixed series plus cluster totals.
-
-    Every replica counter/gauge reappears twice: once under its
-    ``replica-<shard>.`` prefix (so a dashboard can tell shards apart)
-    and summed under ``cluster.`` (so the load harness reads one
-    number).  Gauges like ``worker_utilization`` sum into cluster-wide
-    capacity terms; divide by ``cluster.replicas`` for an average.
-    """
-    counters: Dict[str, float] = {}
-    gauges: Dict[str, float] = {}
-    cluster_counters: Dict[str, float] = {}
-    cluster_gauges: Dict[str, float] = {}
-    healthy = 0
-    for shard, payload in enumerate(per_shard):
-        if payload is None:
-            continue
-        healthy += 1
-        prefix = _replica_name(shard)
-        for name, value in (payload.get("counters") or {}).items():
-            counters[f"{prefix}.{name}"] = value
-            cluster_counters[name] = cluster_counters.get(name, 0) + value
-        for name, value in (payload.get("gauges") or {}).items():
-            gauges[f"{prefix}.{name}"] = value
-            cluster_gauges[name] = cluster_gauges.get(name, 0) + value
-        for section in ("store", "scheduler", "journal"):
-            for name, value in (payload.get(section) or {}).items():
-                if isinstance(value, (int, float)):
-                    counters[f"{prefix}.{section}.{name}"] = value
-                    key = f"{section}.{name}"
-                    cluster_counters[key] = cluster_counters.get(key, 0) + value
-    counters.update({f"cluster.{k}": v for k, v in cluster_counters.items()})
-    gauges.update({f"cluster.{k}": v for k, v in cluster_gauges.items()})
-    return {
-        "cluster": {"replicas": len(per_shard), "healthy": healthy},
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-    }
-
-
-def merge_datasets(per_shard: Sequence[Optional[dict]]) -> dict:
-    datasets: List[dict] = []
-    for shard, payload in enumerate(per_shard):
-        if payload is None:
-            continue
-        for entry in payload.get("datasets") or []:
-            entry = dict(entry)
-            entry["replica"] = _replica_name(shard)
-            datasets.append(entry)
-    return {"datasets": datasets}
-
-
-def merge_schemas(per_shard: Sequence[Optional[dict]]) -> dict:
-    schemas: List[dict] = []
-    for shard, payload in enumerate(per_shard):
-        if payload is None:
-            continue
-        for entry in payload.get("schemas") or []:
-            entry = dict(entry)
-            entry["replica"] = _replica_name(shard)
-            schemas.append(entry)
-    return {"schemas": schemas}
-
-
-def merge_jobs(per_shard: Sequence[Optional[dict]]) -> dict:
-    jobs: List[dict] = []
-    for shard, payload in enumerate(per_shard):
-        if payload is None:
-            continue
-        for entry in payload.get("jobs") or []:
-            jobs.append(_prefix_job_ids(entry, shard))
-    jobs.sort(key=lambda job: job.get("submitted_at") or 0)
-    return {"jobs": jobs}
-
-
-_MERGERS: Dict[str, Callable[[Sequence[Optional[dict]]], dict]] = {
-    "health": merge_health,
-    "metrics": merge_metrics,
-    "datasets": merge_datasets,
-    "jobs": merge_jobs,
-}
-
-
-def _prefix_job_ids(obj: object, shard: int) -> object:
-    """Namespace every ``job_id`` value in a payload with its shard."""
-    if isinstance(obj, dict):
-        return {
-            key: (
-                f"s{shard}:{value}"
-                if key == "job_id" and isinstance(value, str)
-                else _prefix_job_ids(value, shard)
-            )
-            for key, value in obj.items()
-        }
-    if isinstance(obj, list):
-        return [_prefix_job_ids(item, shard) for item in obj]
-    return obj
-
-
-def upload_fingerprint(body: dict) -> str:
-    """The fingerprint a replica will assign this upload.
-
-    Mirrors :meth:`FDService.register_csv` / ``register_rows`` exactly
-    — same parse, same construction — so the router's routing decision
-    and the replica's registry key always agree.
-    """
-    semantics = body.get("semantics", "eq")
-    if "csv" in body:
-        relation = read_csv_text(
-            body["csv"],
-            semantics=semantics,
-            on_bad_row=body.get("on_bad_row", "raise"),
-        )
-    elif "columns" in body and "rows" in body:
-        relation = Relation.from_rows(
-            body["rows"], schema=list(body["columns"]), semantics=semantics
-        )
-    else:
-        raise _PlanError(
-            400, "dataset upload needs either 'csv' text or 'columns' + 'rows'"
-        )
-    return relation.fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -786,152 +597,63 @@ class Router:
 
     def _route(self, session: _Session) -> None:
         request = session.parser
+        method = request.method
+        path, _, query = request.path.partition("?")
         try:
-            self._plan(session, request)
-        except _PlanError as exc:
+            found = match(method, path)
+            if found is None:
+                raise HTTPError(404, f"no such endpoint: {method} {path}")
+            route, params = found
+            body = parse_body(request.body or b"") if method == "POST" else {}
+            self._place(session, route, Request(params, query, request.headers, body), path)
+        except HTTPError as exc:
             session.respond_json(exc.status, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 — protocol boundary
             self._count("router.plan_errors")
             session.respond_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    def _plan(self, session: _Session, request: _HTTPParser) -> None:
-        method = request.method
-        path, _, query = request.path.partition("?")
-        parts = [p for p in path.split("/") if p]
-        body_bytes = request.body or b""
-        #: Proxied paths keep the original query string (``?top_k=`` on
-        #: /discover and /rank must reach the replica verbatim).
-        target = path + (f"?{query}" if query else "")
-
-        if method == "GET" and parts == ["cluster"]:
-            session.respond_json(200, self._cluster_payload())
+    def _place(self, session: _Session, route: Route, req: Request, path: str) -> None:
+        """Answer, fan out or proxy one request as its route row says."""
+        if route.fanout is not None:
+            self._fanout(session, route)
             return
-        if method == "GET" and parts in (["health"], ["metrics"], ["datasets"], ["jobs"]):
-            self._fanout(session, method, "/" + parts[0], _MERGERS[parts[0]])
-            return
-        if method == "GET" and parts == ["multitable", "schemas"]:
-            self._fanout(session, method, "/multitable/schemas", merge_schemas)
-            return
-        if (
-            method == "GET"
-            and len(parts) == 3
-            and parts[:2] == ["multitable", "schemas"]
-        ):
-            shard = self.table.shard_of(parts[2])
-            self._proxy(session, shard, method, target, body_bytes)
-            return
-
-        body = self._parse_body(body_bytes) if method == "POST" else {}
-        if method == "POST" and parts == ["datasets"]:
-            colocate = body.get("colocate_with")
-            if colocate:
-                # Land this upload on the named dataset's shard so a
-                # schema over both tables can be registered there.
-                shard = self.table.shard_of(str(colocate))
-            else:
-                shard = self.table.shard_of(upload_fingerprint(body))
-            self._proxy(session, shard, method, target, body_bytes, hook="upload")
-            return
-        if method == "POST" and parts == ["multitable", "schemas"]:
-            tables = body.get("tables")
-            if not isinstance(tables, dict) or not tables:
-                raise _PlanError(
-                    400,
-                    "schema registration needs a 'tables' object "
-                    "(table name -> dataset name or fingerprint)",
-                )
-            shards = {
-                str(ref): self.table.shard_of(str(ref)) for ref in tables.values()
-            }
+        if route.by_job:
+            shard, local_id = self._parse_job_ref(req.params["job"])
+            path = route.pattern.format(**{**req.params, "job": local_id})
+        elif route.refs is not None:
+            shards = {ref: self.table.shard_of(ref) for ref in route.refs(req)}
             if len(set(shards.values())) > 1:
+                # Only schema registration names several references.
                 self._count("router.schema_colocation_409")
-                raise _PlanError(
+                raise HTTPError(
                     409,
                     "schema tables live on different shards "
                     f"({shards}); re-upload the tables with 'colocate_with' "
                     "so they share a replica",
                 )
             shard = next(iter(shards.values()))
-            self._proxy(session, shard, method, target, body_bytes, hook="schema")
+        else:
+            session.respond_json(200, self._cluster_payload())
             return
-        if method == "POST" and parts == ["multitable", "discover"]:
-            ref = body.get("schema") or body.get("dataset")
-            if not ref:
-                raise _PlanError(400, "multitable discovery needs a 'schema' reference")
-            shard = self.table.shard_of(str(ref))
-            idem = (request.headers or {}).get("idempotency-key")
-            self._proxy(
-                session,
-                shard,
-                method,
-                target,
-                body_bytes,
-                hook="jobs",
-                extra_headers={"Idempotency-Key": idem} if idem else None,
-            )
-            return
-        if (
-            method == "POST"
-            and len(parts) == 3
-            and parts[0] == "datasets"
-            and parts[2] == "append"
-        ):
-            shard = self.table.shard_of(parts[1])
-            self._proxy(session, shard, method, target, body_bytes, hook="append")
-            return
-        if method == "POST" and parts in (["discover"], ["rank"]):
-            ref = body.get("dataset")
-            if not ref:
-                raise _PlanError(400, "job submission needs a 'dataset' reference")
-            shard = self.table.shard_of(str(ref))
-            # The client's Idempotency-Key must survive the proxy hop:
-            # the replica dedups retried submissions through it.
-            idem = (request.headers or {}).get("idempotency-key")
-            self._proxy(
-                session,
-                shard,
-                method,
-                target,
-                body_bytes,
-                hook="jobs",
-                extra_headers={"Idempotency-Key": idem} if idem else None,
-            )
-            return
-        if parts and parts[0] == "jobs" and len(parts) in (2, 3):
-            shard, local_id = self._parse_job_ref(parts[1])
-            suffix = f"/{parts[2]}" if len(parts) == 3 else ""
-            if (method, len(parts)) not in (("GET", 2), ("POST", 3)):
-                raise _PlanError(404, f"no such endpoint: {method} {path}")
-            if len(parts) == 3 and parts[2] != "cancel":
-                raise _PlanError(404, f"no such endpoint: {method} {path}")
-            self._proxy(
-                session,
-                shard,
-                method,
-                f"/jobs/{local_id}{suffix}" + (f"?{query}" if query else ""),
-                body_bytes,
-                hook="jobs",
-            )
-            return
-        raise _PlanError(404, f"no such endpoint: {method} {path}")
-
-    @staticmethod
-    def _parse_body(body_bytes: bytes) -> dict:
-        if not body_bytes:
-            return {}
-        try:
-            payload = json.loads(body_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _PlanError(400, f"invalid JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _PlanError(400, "request body must be a JSON object")
-        return payload
+        # The query string must reach the replica verbatim (``?top_k=``),
+        # and so must the client's Idempotency-Key: the replica dedups
+        # retried submissions through it.
+        target = path + (f"?{req.query}" if req.query else "")
+        idem = req.headers.get("idempotency-key")
+        self._proxy(
+            session,
+            shard,
+            route,
+            target,
+            session.parser.body or b"",
+            extra_headers={"Idempotency-Key": idem} if idem else None,
+        )
 
     def _parse_job_ref(self, ref: str) -> Tuple[int, str]:
-        match = _JOB_REF.match(ref)
-        if not match or not 0 <= int(match.group(1)) < self.n_shards:
-            raise _PlanError(404, f"unknown job {ref!r} (cluster ids look like s0:job-1)")
-        return int(match.group(1)), match.group(2)
+        found = _JOB_REF.match(ref)
+        if not found or not 0 <= int(found.group(1)) < self.n_shards:
+            raise HTTPError(404, f"unknown job {ref!r} (cluster ids look like s0:job-1)")
+        return int(found.group(1)), found.group(2)
 
     def _cluster_payload(self) -> dict:
         endpoints = list(self._endpoints())
@@ -960,10 +682,9 @@ class Router:
         self,
         session: _Session,
         shard: int,
-        method: str,
+        route: Route,
         path: str,
         body: bytes,
-        hook: Optional[str] = None,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> None:
         url = self._shard_url(shard)
@@ -977,15 +698,15 @@ class Router:
             return
         self._count(f"router.routed.shard-{shard}")
         host = urllib.parse.urlsplit(url).netloc
-        request = _build_request(method, path, host, body, extra_headers)
+        request = _build_request(route.method, path, host, body, extra_headers)
 
         def finish(upstreams: List[_Upstream]) -> None:
-            self._finish_proxy(session, shard, hook, upstreams[0])
+            self._finish_proxy(session, shard, route, upstreams[0])
 
         session.launch([(shard, url, request)], finish)
 
     def _finish_proxy(
-        self, session: _Session, shard: int, hook: Optional[str], upstream: _Upstream
+        self, session: _Session, shard: int, route: Route, upstream: _Upstream
     ) -> None:
         response = upstream.parser
         if upstream.failure is not None or response.status is None:
@@ -1000,46 +721,28 @@ class Router:
             return
         body = response.body or b""
         content_type = (response.headers or {}).get("content-type", "application/json")
-        if hook in ("upload", "append", "schema") and response.status in (200, 201):
-            self._pin_from_response(shard, body)
-        if hook == "jobs" and body:
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                payload = None
-            if payload is not None:
-                body = json.dumps(_prefix_job_ids(payload, shard)).encode("utf-8")
+        try:
+            payload = json.loads(body.decode("utf-8")) if body else None
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            payload = None
+        if route.pin and response.status in (200, 201) and isinstance(payload, dict):
+            # The fingerprint (and name alias) an upload/append/schema created.
+            for key in ("fingerprint", "name"):
+                ref = payload.get(key)
+                if isinstance(ref, str) and ref:
+                    self.table.pin(ref, shard)
+        if route.prefix_jobs and payload is not None:
+            body = json.dumps(prefix_job_ids(payload, shard)).encode("utf-8")
         session.respond_raw(response.status, body, content_type=content_type)
 
-    def _pin_from_response(self, shard: int, body: bytes) -> None:
-        """Pin the fingerprint (and name alias) an upload/append created."""
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return
-        if not isinstance(payload, dict):
-            return
-        fingerprint = payload.get("fingerprint")
-        if isinstance(fingerprint, str):
-            self.table.pin(fingerprint, shard)
-        name = payload.get("name")
-        if isinstance(name, str) and name:
-            self.table.pin(name, shard)
-
-    def _fanout(
-        self,
-        session: _Session,
-        method: str,
-        path: str,
-        merger: Callable[[Sequence[Optional[dict]]], dict],
-    ) -> None:
+    def _fanout(self, session: _Session, route: Route) -> None:
         endpoints = list(self._endpoints())
         calls: List[Tuple[int, str, bytes]] = []
         for shard, url in enumerate(endpoints):
             if url is None:
                 continue
             host = urllib.parse.urlsplit(url).netloc
-            calls.append((shard, url, _build_request(method, path, host, None)))
+            calls.append((shard, url, _build_request(route.method, route.pattern, host, None)))
         self._count("router.fanouts")
         session.deadline = time.monotonic() + self.fanout_timeout
         if not calls:
@@ -1062,6 +765,6 @@ class Router:
                     )
                 except (UnicodeDecodeError, json.JSONDecodeError):
                     continue
-            session.respond_json(200, merger(per_shard))
+            session.respond_json(200, route.fanout(per_shard))
 
         session.launch(calls, finish)

@@ -59,6 +59,11 @@ def _is_retryable_reason(reason: object) -> bool:
     return any(marker in text for marker in _RETRYABLE_ERRNOS)
 
 
+def _encode_rows(rows: Sequence[Sequence[object]]) -> List[List[object]]:
+    """Row tuples as JSON lists, with every null spelled ``None``."""
+    return [[None if is_null(value) else value for value in row] for row in rows]
+
+
 class ServiceClient:
     """JSON-over-HTTP client for one discovery server (or cluster router).
 
@@ -234,12 +239,9 @@ class ServiceClient:
         ``colocate_with`` is the same cluster routing hint as on
         :meth:`upload_csv`.
         """
-        encoded = [
-            [None if is_null(value) else value for value in row] for row in rows
-        ]
         payload: Dict[str, object] = {
             "columns": list(columns),
-            "rows": encoded,
+            "rows": _encode_rows(rows),
             "name": name,
             "semantics": semantics,
         }
@@ -254,13 +256,10 @@ class ServiceClient:
         twice — so connection-level failures are *not* retried (see
         :meth:`_request`); a 503 from a draining replica still is.
         """
-        encoded = [
-            [None if is_null(value) else value for value in row] for row in rows
-        ]
         return self._request(
             "POST",
             f"/datasets/{dataset}/append",
-            {"rows": encoded},
+            {"rows": _encode_rows(rows)},
             idempotent=False,
         )
 
@@ -320,33 +319,50 @@ class ServiceClient:
         (intra/inter) and origin ``tables``, and a ``multitable`` block
         with the join's provenance stats.
         """
-        suffix = "" if top_k is None else f"?top_k={int(top_k)}"
-        return self._request(
-            "POST",
-            "/multitable/discover" + suffix,
+        return self._submit_job(
+            "/multitable/discover",
             {
                 "schema": schema,
                 "path": list(path),
                 "on_dangling": on_dangling,
                 "config": config or {},
                 "priority": priority,
-                "wait": True,
-                "timeout": timeout,
             },
+            top_k,
+            wait=True,
             timeout=timeout,
-            headers={"Idempotency-Key": uuid.uuid4().hex},
         )
 
     # ------------------------------------------------------------------
     # Jobs
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _job_path(kind: str, top_k: Optional[int]) -> str:
-        """The job endpoint, with ``top_k`` as a query param when set."""
-        if top_k is None:
-            return f"/{kind}"
-        return f"/{kind}?top_k={int(top_k)}"
+    def _submit_job(
+        self,
+        path: str,
+        payload: Dict[str, object],
+        top_k: Optional[int],
+        wait: bool = False,
+        timeout: Optional[float] = None,
+        idempotency_key: Optional[str] = None,
+    ) -> Dict[str, object]:
+        """POST one job; ``wait`` blocks server-side for its final status.
+
+        Each submission carries an ``Idempotency-Key`` (a fresh UUID
+        unless the caller pins one), so transport-level retries and
+        replays with the same key land on the original job.
+        """
+        if top_k is not None:
+            path += f"?top_k={int(top_k)}"
+        if wait:
+            payload.update(wait=True, timeout=timeout)
+        return self._request(
+            "POST",
+            path,
+            payload,
+            timeout=timeout,
+            headers={"Idempotency-Key": idempotency_key or uuid.uuid4().hex},
+        )
 
     def submit(
         self,
@@ -359,16 +375,14 @@ class ServiceClient:
     ) -> str:
         """Queue a job; returns its id immediately.
 
-        Every logical submission carries an ``Idempotency-Key`` header
-        (a fresh UUID unless the caller pins one), so transport-level
-        retries — and caller-level replays with the same key — land on
-        the original job instead of queueing duplicates.
+        ``idempotency_key`` pins the submission's key, so a replay with
+        the same key lands on the original job.
         """
-        response = self._request(
-            "POST",
-            self._job_path(kind, top_k),
+        response = self._submit_job(
+            f"/{kind}",
             {"dataset": dataset, "config": config or {}, "priority": priority},
-            headers={"Idempotency-Key": idempotency_key or uuid.uuid4().hex},
+            top_k,
+            idempotency_key=idempotency_key,
         )
         return response["job_id"]
 
@@ -411,18 +425,12 @@ class ServiceClient:
         (sent as the ``?top_k=`` query param, which overrides any
         body-config value).
         """
-        return self._request(
-            "POST",
-            self._job_path("discover", top_k),
-            {
-                "dataset": dataset,
-                "config": config or {},
-                "priority": priority,
-                "wait": True,
-                "timeout": timeout,
-            },
+        return self._submit_job(
+            "/discover",
+            {"dataset": dataset, "config": config or {}, "priority": priority},
+            top_k,
+            wait=True,
             timeout=timeout,
-            headers={"Idempotency-Key": uuid.uuid4().hex},
         )
 
     def rank(
@@ -438,18 +446,12 @@ class ServiceClient:
         ``top_k`` bounds the returned ranking to its first k entries
         (the full cover is still discovered and cached).
         """
-        return self._request(
-            "POST",
-            self._job_path("rank", top_k),
-            {
-                "dataset": dataset,
-                "config": config or {},
-                "priority": priority,
-                "wait": True,
-                "timeout": timeout,
-            },
+        return self._submit_job(
+            "/rank",
+            {"dataset": dataset, "config": config or {}, "priority": priority},
+            top_k,
+            wait=True,
             timeout=timeout,
-            headers={"Idempotency-Key": uuid.uuid4().hex},
         )
 
     # ------------------------------------------------------------------
