@@ -1,12 +1,13 @@
 """Micro-benchmark: python vs numpy partition kernels.
 
 Times the refinement / intersection / agree-set hot paths on synthetic
-relations for both backends, asserts the results are identical, and
+relations for both kernels (the python ones selected with
+``kernels.use_backend("python")``), asserts the results are identical, and
 prints a speedup table.  The refinement path and the combined
 refine+intersect pipeline (what discovery actually spends its time on)
 are gated at >= 3x; the remaining per-operation speedups are recorded
 in the artifact.  Also runs full DHyFD discovery on the smallest
-benchmark replica with each backend and checks the covers are
+benchmark replica with each kernel set and checks the covers are
 byte-identical, so the end-to-end path stays differential-tested at
 benchmark scale.
 """
@@ -20,6 +21,7 @@ from repro.core.dhyfd import DHyFD
 from repro.core.sampling import all_agree_sets
 from repro.datasets.benchmarks import load_benchmark
 from repro.datasets.synthetic import random_relation
+from repro.partitions.kernels import use_backend
 from repro.partitions.stripped import StrippedPartition
 from repro.relational import attrset
 
@@ -51,6 +53,12 @@ def _time(fn):
     return best, result
 
 
+def _time_on(backend, fn):
+    """:func:`_time` of ``fn`` on ``backend``'s kernels."""
+    with use_backend(backend):
+        return _time(fn)
+
+
 def _record(op, py_seconds, np_seconds):
     speedup = py_seconds / np_seconds if np_seconds > 0 else float("inf")
     _rows.append([op, f"{py_seconds:.4f}", f"{np_seconds:.4f}",
@@ -63,8 +71,8 @@ def test_refine_many_speedup():
     rel = _relation()
     base = StrippedPartition.for_attribute(rel, 0)
     attrs = list(range(1, N_COLS))
-    py_s, py_r = _time(lambda: base.refine_many(rel, attrs, backend="python"))
-    np_s, np_r = _time(lambda: base.refine_many(rel, attrs, backend="numpy"))
+    py_s, py_r = _time_on("python", lambda: base.refine_many(rel, attrs))
+    np_s, np_r = _time_on("numpy", lambda: base.refine_many(rel, attrs))
     assert py_r.clusters == np_r.clusters
     speedup = _record("refine_many", py_s, np_s)
     assert speedup >= 3.0, f"refine_many speedup only {speedup:.1f}x"
@@ -78,23 +86,18 @@ def test_hot_path_pipeline_speedup():
     """
     rel = _relation()
 
-    def run(backend):
-        singles = [
-            StrippedPartition.for_attribute(rel, a, backend=backend)
-            for a in range(N_COLS)
-        ]
+    def run():
+        singles = [StrippedPartition.for_attribute(rel, a) for a in range(N_COLS)]
         pairs = [
-            singles[i].intersect(singles[j], backend=backend)
+            singles[i].intersect(singles[j])
             for i in range(N_COLS)
             for j in range(i + 1, N_COLS)
         ]
-        refined = singles[0].refine_many(
-            rel, list(range(1, N_COLS)), backend=backend
-        )
+        refined = singles[0].refine_many(rel, list(range(1, N_COLS)))
         return [p.clusters for p in pairs] + [refined.clusters]
 
-    py_s, py_r = _time(lambda: run("python"))
-    np_s, np_r = _time(lambda: run("numpy"))
+    py_s, py_r = _time_on("python", run)
+    np_s, np_r = _time_on("numpy", run)
     assert py_r == np_r
     speedup = _record("level2 pipeline", py_s, np_s)
     assert speedup >= 2.0, f"pipeline speedup only {speedup:.1f}x"
@@ -104,8 +107,8 @@ def test_intersect_speedup():
     rel = _relation()
     left = StrippedPartition.for_attribute(rel, 0)
     right = StrippedPartition.for_attribute(rel, 1)
-    py_s, py_r = _time(lambda: left.intersect(right, backend="python"))
-    np_s, np_r = _time(lambda: left.intersect(right, backend="numpy"))
+    py_s, py_r = _time_on("python", lambda: left.intersect(right))
+    np_s, np_r = _time_on("numpy", lambda: left.intersect(right))
     assert py_r.clusters == np_r.clusters
     speedup = _record("intersect", py_s, np_s)
     assert speedup >= 1.5, f"intersect speedup only {speedup:.1f}x"
@@ -114,12 +117,8 @@ def test_intersect_speedup():
 def test_for_attrs_speedup():
     rel = _relation()
     mask = attrset.from_attrs(range(N_COLS))
-    py_s, py_r = _time(
-        lambda: StrippedPartition.for_attrs(rel, mask, backend="python")
-    )
-    np_s, np_r = _time(
-        lambda: StrippedPartition.for_attrs(rel, mask, backend="numpy")
-    )
+    py_s, py_r = _time_on("python", lambda: StrippedPartition.for_attrs(rel, mask))
+    np_s, np_r = _time_on("numpy", lambda: StrippedPartition.for_attrs(rel, mask))
     assert py_r.clusters == np_r.clusters
     _record("for_attrs", py_s, np_s)
 
@@ -128,8 +127,8 @@ def test_agree_sets_speedup():
     # quadratic in rows: use a small slice of the benchmark shape
     n_rows = pick(smoke=300, quick=600, full=1200)
     rel = random_relation(n_rows, N_COLS, domain_sizes=SHAPE[1], seed=7)
-    py_s, py_r = _time(lambda: all_agree_sets(rel, backend="python"))
-    np_s, np_r = _time(lambda: all_agree_sets(rel, backend="numpy"))
+    py_s, py_r = _time_on("python", lambda: all_agree_sets(rel))
+    np_s, np_r = _time_on("numpy", lambda: all_agree_sets(rel))
     assert py_r == np_r
     _record("all_agree_sets", py_s, np_s)
 
@@ -137,8 +136,8 @@ def test_agree_sets_speedup():
 def test_dhyfd_end_to_end_covers_match():
     """Full discovery on the smallest replica: identical covers."""
     relation = load_benchmark("iris", n_rows=pick(60, 150, 150))
-    py_s, py_r = _time(lambda: DHyFD(backend="python").discover(relation))
-    np_s, np_r = _time(lambda: DHyFD(backend="numpy").discover(relation))
+    py_s, py_r = _time_on("python", lambda: DHyFD().discover(relation))
+    np_s, np_r = _time_on("numpy", lambda: DHyFD().discover(relation))
     assert py_r.fds == np_r.fds
     _record("dhyfd(iris)", py_s, np_s)
 

@@ -46,10 +46,9 @@ from repro.service import ServiceClient, ServiceError
 
 BENCHMARK = "iris"
 CONFIG = {"algorithm": "dhyfd"}
-#: Deliberately slow configuration for the kill-mid-job scenario: the
-#: serial python kernels give the run a multi-second lattice walk, so
-#: there is a wide window to SIGKILL the replica between checkpoints.
-SLOW_CONFIG = {"algorithm": "dhyfd", "backend": "python", "jobs": 1}
+#: Serial configuration for the kill-mid-job scenario; its input
+#: (:func:`slow_relation`) makes the lattice walk take several seconds.
+SLOW_CONFIG = {"algorithm": "dhyfd", "jobs": 1}
 REPLICAS = 2
 
 
@@ -138,6 +137,13 @@ def wal_checkpointed_jobs(path: pathlib.Path) -> set:
     return jobs
 
 
+def slow_relation():
+    """4,000 x 15 ternary columns: serial DHyFD walks 13 levels in ~7 s
+    on a 2-vCPU VM, a wide window to SIGKILL the replica between
+    checkpoints."""
+    return random_relation(4000, 15, domain_sizes=[3] * 15, null_rate=0.0, seed=5)
+
+
 def kill_mid_job_scenario(url: str, data_dir: str, client: ServiceClient) -> None:
     """SIGKILL a replica mid-discovery; the job must still finish.
 
@@ -146,9 +152,7 @@ def kill_mid_job_scenario(url: str, data_dir: str, client: ServiceClient) -> Non
     resumes from the journaled checkpoint (skipping completed levels),
     and the final cover is byte-identical to a direct run.
     """
-    relation = random_relation(
-        2000, 14, domain_sizes=[3] * 14, null_rate=0.0, seed=5
-    )
+    relation = slow_relation()
     expected = cover_to_json(
         make_algorithm("dhyfd").discover(relation).fds, relation.schema
     )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import functools
+import inspect
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..core.base import DiscoveryAlgorithm
 from ..core.dhyfd import DHyFD
@@ -29,6 +31,12 @@ _REGISTRY: Dict[str, Callable[..., DiscoveryAlgorithm]] = {
 def algorithm_names() -> List[str]:
     """All registered algorithm names, sorted."""
     return sorted(_REGISTRY)
+
+
+@functools.lru_cache(maxsize=None)
+def algorithm_parameters(name: str) -> FrozenSet[str]:
+    """The constructor keyword arguments of a registered algorithm."""
+    return frozenset(inspect.signature(_REGISTRY[name]).parameters)
 
 
 def make_algorithm(

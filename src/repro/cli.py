@@ -27,7 +27,6 @@ from .bench.tables import format_table
 from .covers.canonical import compare_covers
 from .datasets.benchmarks import benchmark_names, get_spec, load_benchmark
 from . import parallel
-from .partitions import kernels
 from .profiling.profiler import profile
 from .relational.io import ON_BAD_ROW_POLICIES, read_csv, write_csv
 from .relational.null import NullSemantics
@@ -51,13 +50,10 @@ def package_version() -> str:
 def _load_input(args: argparse.Namespace) -> Relation:
     """Resolve --csv / --benchmark inputs into a relation.
 
-    Also applies ``--backend`` and ``--jobs`` (when the subcommand has
-    them) as process-wide defaults, so every algorithm and ranking pass
-    in the invocation uses the chosen backend and worker count.
+    Also applies ``--jobs`` (when the subcommand has it) as the
+    process-wide default, so every algorithm and ranking pass in the
+    invocation uses the chosen worker count.
     """
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        kernels.set_default_backend(backend)
     jobs = getattr(args, "jobs", None)
     if jobs is not None:
         parallel.set_default_jobs(jobs)
@@ -99,13 +95,6 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
         default="eq",
         choices=["eq", "neq"],
         help="null=null (eq, default) or null!=null (neq)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=list(kernels.BACKENDS),
-        help="partition-kernel backend (default: %s, or $REPRO_FD_BACKEND)"
-        % kernels.get_default_backend(),
     )
     parser.add_argument(
         "--jobs",
@@ -420,8 +409,6 @@ def _cmd_multitable(args: argparse.Namespace) -> int:
 
     from .multitable import MultitableError, SchemaGraph, discover_join_fds
 
-    if args.backend is not None:
-        kernels.set_default_backend(args.backend)
     if args.jobs is not None:
         parallel.set_default_jobs(args.jobs)
     _apply_memplane_flag(args)
@@ -483,7 +470,6 @@ def _cmd_multitable(args: argparse.Namespace) -> int:
             on_dangling=args.on_dangling,
             top_k=args.top_k,
             jobs=args.jobs,
-            backend=args.backend,
             time_limit=args.time_limit,
         )
     except MultitableError as exc:
@@ -632,8 +618,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     config = {"algorithm": args.algorithm, "on_limit": getattr(args, "on_limit", "raise")}
     if args.jobs is not None:
         config["jobs"] = args.jobs
-    if args.backend is not None:
-        config["backend"] = args.backend
     if args.time_limit is not None:
         config["time_limit"] = args.time_limit
     if getattr(args, "memory_budget", None) is not None:
@@ -860,12 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     multitable.add_argument(
         "--top", type=int, default=25, help="ranked FDs to print (default 25)"
-    )
-    multitable.add_argument(
-        "--backend",
-        default=None,
-        choices=list(kernels.BACKENDS),
-        help="provenance/partition-kernel backend",
     )
     multitable.add_argument(
         "--jobs", default=None, metavar="N", type=_parse_jobs_arg,

@@ -608,6 +608,8 @@ class Router:
             self._place(session, route, Request(params, query, request.headers, body), path)
         except HTTPError as exc:
             session.respond_json(exc.status, {"error": str(exc)})
+        except ValueError as exc:  # a malformed upload, as on a replica
+            session.respond_json(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 — protocol boundary
             self._count("router.plan_errors")
             session.respond_json(500, {"error": f"{type(exc).__name__}: {exc}"})

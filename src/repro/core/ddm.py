@@ -38,13 +38,12 @@ from ..resilience import faults
 class DynamicDataManager:
     """Manages singleton and dynamically refined stripped partitions."""
 
-    def __init__(self, relation: Relation, backend: Optional[str] = None):
+    def __init__(self, relation: Relation):
         self.relation = relation
-        self.backend = backend
         self.n_cols = relation.n_cols
         self.universal = StrippedPartition.universal(relation)
         self.singletons: List[StrippedPartition] = [
-            StrippedPartition.for_attribute(relation, attr, backend=backend)
+            StrippedPartition.for_attribute(relation, attr)
             for attr in range(relation.n_cols)
         ]
         self.dynamic: List[StrippedPartition] = []
@@ -145,7 +144,6 @@ class DynamicDataManager:
             partition = base.refine_many(
                 self.relation,
                 attrset.iter_attrs(attrset.difference(path, base.attrs)),
-                backend=self.backend,
             )
             new_array.append(partition)
             new_id = self.n_cols + len(new_array) - 1

@@ -9,28 +9,28 @@ non-FD ``Z ↛ R − Z`` — strictly more general evidence than the single
 invalid FD, which is exactly what synergized induction wants.  The
 work stops as soon as every RHS attribute is invalidated.
 
-Both backends run behind one kernel call per validation
+Validation is one kernel call
 (:func:`repro.partitions.kernels.validate_clusters`), which takes the
 partition in its flat ``(rows, lengths)`` form
 (:meth:`StrippedPartition.flat`, built once per partition):
 
-* ``numpy`` — the batched kernel.  It takes the source clusters in
+* ``numpy`` — the batched kernel every caller runs.  It takes the source clusters in
   batches of geometrically growing row counts, splits a whole batch
   with one sort, compares every row with its pivot in one array
   comparison, and replays the witness rule over the few violating rows
   only, so the early exit survives at batch granularity.
 * ``python`` — the per-cluster reference loop over the cluster lists,
   refining and comparing one source cluster at a time; it is the
-  differential oracle.
+  differential oracle, selected with ``kernels.use_backend("python")``.
 
 Both return the same :class:`ValidationResult`: the same surviving
 RHS, the same non-FD set and the same comparison count, so covers and
-discovery statistics do not depend on the backend.
+discovery statistics do not depend on which kernels ran.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 import numpy as np
 
@@ -60,18 +60,14 @@ def validate_fd(
     lhs: AttrSet,
     rhs: AttrSet,
     partition: StrippedPartition,
-    backend: Optional[str] = None,
 ) -> ValidationResult:
     """Validate ``lhs -> rhs`` using ``partition`` = π_X' with X' ⊆ lhs.
 
     Returns the surviving RHS attributes and the agree-set non-FDs of
-    every violating pair encountered before the early exit.  ``backend``
-    selects the kernel backend (see :func:`kernels.validate_clusters`).
+    every violating pair encountered before the early exit.
     """
     rows, lengths = partition.flat()
-    return validate_flat(
-        relation, lhs, rhs, partition.attrs, rows, lengths, backend=backend
-    )
+    return validate_flat(relation, lhs, rhs, partition.attrs, rows, lengths)
 
 
 def validate_flat(
@@ -81,7 +77,6 @@ def validate_flat(
     attrs: AttrSet,
     rows: np.ndarray,
     lengths: np.ndarray,
-    backend: Optional[str] = None,
 ) -> ValidationResult:
     """:func:`validate_fd` with π_X' (``X' = attrs``) in the flat
     ``(rows, lengths)`` form partitions are shipped to pool workers in."""
@@ -97,21 +92,18 @@ def validate_flat(
             rhs,
             rows,
             lengths,
-            backend=backend,
         )
     )
 
 
-def check_fd(
-    relation: Relation, lhs: AttrSet, rhs: AttrSet, backend: Optional[str] = None
-) -> bool:
+def check_fd(relation: Relation, lhs: AttrSet, rhs: AttrSet) -> bool:
     """Ground-truth check that ``lhs -> rhs`` holds, from scratch.
 
     Builds ``π_lhs`` directly; used by tests and the brute-force oracle
     rather than the discovery loop.
     """
-    partition = StrippedPartition.for_attrs(relation, lhs, backend=backend)
+    partition = StrippedPartition.for_attrs(relation, lhs)
     for attr in attrset.iter_attrs(rhs):
-        if not partition.refines_attribute(relation, attr, backend=backend):
+        if not partition.refines_attribute(relation, attr):
             return False
     return True

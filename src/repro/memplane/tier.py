@@ -8,16 +8,17 @@ registered dataset, so those derivations are pure waste.
 
 This module keeps one process-wide
 :class:`SharedPartitionTier` per ``(fingerprint, null semantics,
-resolved backend)`` triple.  A tier stores partitions over at most
+active kernel backend)`` triple.  A tier stores partitions over at most
 :data:`MAX_SHARED_ATTRS` attributes — the wide base of the lattice
 that every pass touches — and hands them to any ``PartitionCache``
 constructed with ``shared=``.  Safe to share because
 :class:`~repro.partitions.stripped.StrippedPartition` is immutable
 (nothing in the stack mutates ``clusters`` in place) and the key pins
 down everything that affects cluster bytes: the data (fingerprint),
-the equality semantics, and the kernel backend (canonical cluster
-order is backend-identical by PR 2's guarantee, but keying by backend
-keeps the tiers independently evictable and the provenance obvious).
+the equality semantics, and the kernels that built them.  Both
+kernels emit identical clusters, but a run inside
+``kernels.use_backend("python")`` is the differential oracle: it must
+build its own partitions, never reuse the numpy kernels' ones.
 
 The registry is LRU-bounded (:data:`MAX_TIERS` datasets) and obeys the
 same ``REPRO_FD_MEMPLANE`` kill switch as the arena.
@@ -29,7 +30,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..partitions.kernels import resolve_backend
+from ..partitions.kernels import active_backend
 from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
 from ..relational.attrset import AttrSet
@@ -90,8 +91,8 @@ _tiers: "OrderedDict[Tuple[str, str, str], SharedPartitionTier]" = OrderedDict()
 _tiers_lock = threading.Lock()
 
 
-def tier_for(relation, backend: Optional[str] = None) -> Optional[SharedPartitionTier]:
-    """The shared tier for ``relation`` (None when unusable).
+def tier_for(relation) -> Optional[SharedPartitionTier]:
+    """The shared tier for ``relation`` under the active kernels (None when unusable).
 
     Unusable means: the memplane is disabled, or the relation carries
     no content fingerprint (worker-side shared views don't — workers
@@ -103,7 +104,7 @@ def tier_for(relation, backend: Optional[str] = None) -> Optional[SharedPartitio
     semantics = getattr(relation, "semantics", None)
     if fingerprint_of is None or semantics is None:
         return None
-    key = (fingerprint_of(), semantics.value, resolve_backend(backend))
+    key = (fingerprint_of(), semantics.value, active_backend())
     with _tiers_lock:
         tier = _tiers.get(key)
         if tier is None:

@@ -150,7 +150,6 @@ def discover_join_fds(
     on_dangling: str = "raise",
     top_k: Optional[int] = None,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
     time_limit: Optional[float] = None,
     **kwargs,
 ) -> JoinFDResult:
@@ -164,10 +163,8 @@ def discover_join_fds(
     cutting at k).  Extra keyword arguments reach the algorithm
     constructor (e.g. ``ratio_threshold`` for DHyFD).
     """
-    provenance = build_provenance(
-        graph, path, on_dangling=on_dangling, backend=backend
-    )
-    lifted = lift_relation(graph, provenance, backend=backend)
+    provenance = build_provenance(graph, path, on_dangling=on_dangling)
+    lifted = lift_relation(graph, provenance)
     tracer = current_tracer()
     with tracer.span(
         "multitable.discover",
@@ -178,8 +175,6 @@ def discover_join_fds(
         algo_kwargs = dict(kwargs)
         if jobs is not None:
             algo_kwargs["jobs"] = jobs
-        if backend is not None:
-            algo_kwargs["backend"] = backend
         algo = make_algorithm(algorithm, time_limit=time_limit, **algo_kwargs)
         discovery = algo.discover(lifted)
         ranking = rank_cover(lifted, discovery.fds, top_k=top_k, jobs=jobs)

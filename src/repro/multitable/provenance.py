@@ -24,11 +24,12 @@ join row came from.  This module computes exactly that:
   ``multitable.materialize`` telemetry event — the virtual path never
   emits one.
 
-Like :mod:`repro.partitions.kernels`, provenance construction is
-backend-switchable: ``backend="python"`` is the per-row reference
-implementation, ``backend="numpy"`` vectorizes the gather/expand steps
-over flat index arrays.  Both emit identical arrays (join rows ordered
-with current rows outer, matching child rows ascending inner).
+Like :mod:`repro.partitions.kernels`, provenance construction and
+column lifts exist twice: the ``numpy`` path vectorizes the
+gather/expand steps over flat index arrays, and the per-row ``python``
+reference runs inside ``kernels.use_backend("python")`` (the oracle
+switch for tests).  Both emit identical arrays (join rows ordered with
+current rows outer, matching child rows ascending inner).
 
 Dangling foreign keys (a child value missing from the parent) follow
 the ``on_dangling`` policy, mirroring ``read_csv``'s ``on_bad_row=``:
@@ -170,7 +171,6 @@ def build_provenance(
     graph: SchemaGraph,
     path: Sequence[str],
     on_dangling: str = "raise",
-    backend: Optional[str] = None,
 ) -> JoinProvenance:
     """Compute the per-table provenance index arrays of a join path.
 
@@ -181,7 +181,7 @@ def build_provenance(
     across backends and to :func:`materialize_join`.
     """
     policy = resolve_policy(on_dangling)
-    backend = kernels.resolve_backend(backend)
+    backend = kernels.active_backend()
     steps = graph.resolve_path(path)
     names = [str(p) for p in path]
     tracer = current_tracer()
@@ -389,7 +389,6 @@ def lift_column(
     column: EncodedColumn,
     idx: np.ndarray,
     semantics: NullSemantics,
-    backend: Optional[str] = None,
 ) -> EncodedColumn:
     """Re-strip: densely re-encode a relabelled column in join-row order.
 
@@ -398,8 +397,7 @@ def lift_column(
     codes are assigned in first-occurrence order, nulls follow the
     semantics, and decoder entries are the base decoder's values.
     """
-    backend = kernels.resolve_backend(backend)
-    if backend == "numpy":
+    if kernels.active_backend() == "numpy":
         return _lift_column_numpy(column, idx, semantics)
     return _lift_column_python(column, idx, semantics)
 
@@ -484,7 +482,6 @@ def lift_partition(
     attrs: AttrSet,
     idx: np.ndarray,
     semantics: NullSemantics,
-    backend: Optional[str] = None,
 ) -> StrippedPartition:
     """Lift ``π_X`` of a base table onto the virtual join's rows.
 
@@ -503,16 +500,13 @@ def lift_partition(
     keys = [
         _lift_keys(relation.column(a), idx, semantics) for a in members
     ]
-    clusters = kernels.refine_clusters(
-        keys, [list(range(n))], backend=backend
-    )
+    clusters = kernels.refine_clusters(keys, [list(range(n))])
     return StrippedPartition(attrs, clusters, n)
 
 
 def lift_relation(
     graph: SchemaGraph,
     provenance: JoinProvenance,
-    backend: Optional[str] = None,
 ) -> Relation:
     """The virtual join as an encoded relation, built purely from lifts.
 
@@ -535,11 +529,7 @@ def lift_relation(
             idx = provenance.index[table]
             for attr, name in enumerate(relation.schema.names):
                 names.append(f"{table}.{name}")
-                columns.append(
-                    lift_column(
-                        relation.column(attr), idx, semantics, backend=backend
-                    )
-                )
+                columns.append(lift_column(relation.column(attr), idx, semantics))
         tracer.counter("multitable.lift.columns").inc(len(columns))
     return Relation(RelationSchema(names), columns, semantics, provenance.n_rows)
 

@@ -6,7 +6,10 @@ Execution model
 The parent copies the relation's code and null matrices into shared
 memory once (:mod:`repro.parallel.shm`), spins up a
 :class:`concurrent.futures.ProcessPoolExecutor` whose initializer
-attaches every worker to those segments, and then ships *work items* —
+attaches every worker to those segments and hands it the parent's
+active kernel backend (so a pool started inside
+``kernels.use_backend("python")`` runs the reference kernels, under
+fork and spawn alike), and then ships *work items* —
 candidate ``(LHS, RHS, partition)`` triples, FD LHSs, or per-attribute
 cluster lists — batched by :func:`chunk_items` to amortize dispatch
 overhead.  Partitions travel as flat ``(rows, lengths)`` index arrays
@@ -78,12 +81,16 @@ class PoolBrokenError(RuntimeError):
 # ----------------------------------------------------------------------
 
 _worker_view: Optional[SharedRelationView] = None
+#: The parent's ``kernels.active_backend()`` when it started the pool.
+_worker_selection = "numpy"
 
 
-def _init_worker(spec, unregister: bool) -> None:
-    """Pool initializer: attach this worker to the shared relation."""
-    global _worker_view
+def _init_worker(spec, unregister: bool, selection: str) -> None:
+    """Pool initializer: attach this worker to the shared relation and
+    keep the parent's kernel selection."""
+    global _worker_view, _worker_selection
     _worker_view = SharedRelationView(spec, unregister=unregister)
+    _worker_selection = selection
 
 
 def _summarize_tracer(tracer: Optional[Tracer]) -> Optional[dict]:
@@ -105,12 +112,9 @@ def _summarize_tracer(tracer: Optional[Tracer]) -> Optional[dict]:
 def _validate_batch(view: SharedRelationView, payload: dict) -> list:
     from ..core.validation import validate_flat
 
-    backend = payload["backend"]
     out = []
     for index, lhs, rhs, part_attrs, rows, lengths in payload["items"]:
-        outcome = validate_flat(
-            view, lhs, rhs, part_attrs, rows, lengths, backend=backend
-        )
+        outcome = validate_flat(view, lhs, rhs, part_attrs, rows, lengths)
         out.append(
             (index, outcome.valid_rhs, sorted(outcome.non_fd_lhs), outcome.comparisons)
         )
@@ -121,11 +125,10 @@ def _redundancy_batch(view: SharedRelationView, payload: dict) -> list:
     from ..partitions.stripped import StrippedPartition
     from ..ranking.redundancy import NullPolicy, redundant_rows_for_lhs
 
-    backend = payload["backend"]
     policy = NullPolicy(payload["policy"])
     out = []
     for index, lhs in payload["items"]:
-        partition = StrippedPartition.for_attrs(view, lhs, backend=backend)
+        partition = StrippedPartition.for_attrs(view, lhs)
         rows_mask = redundant_rows_for_lhs(view, partition, policy)
         out.append((index, pack_row_mask(rows_mask)))
     return out
@@ -134,7 +137,6 @@ def _redundancy_batch(view: SharedRelationView, payload: dict) -> list:
 def _sample_batch(view: SharedRelationView, payload: dict) -> list:
     from ..core.sampling import row_sort_keys, sort_clusters_by_content, window_pairs
 
-    backend = payload["backend"]
     matrix = view.matrix()
     row_keys = row_sort_keys(matrix)
     full = attrset.full_set(view.n_cols)
@@ -148,7 +150,7 @@ def _sample_batch(view: SharedRelationView, payload: dict) -> list:
             continue
         rows_a, rows_b = pairs
         comparisons += len(rows_a)
-        for agree in kernels.agree_masks(matrix, rows_a, rows_b, backend=backend):
+        for agree in kernels.agree_masks(matrix, rows_a, rows_b):
             if agree != full:
                 masks.add(agree)
     return [(sorted(masks), comparisons)]
@@ -167,7 +169,7 @@ def _run_batch(payload: dict) -> dict:
         os._exit(86)
     tracer = Tracer() if payload["collect"] else None
     handler = _HANDLERS[payload["kind"]]
-    with use_tracer(tracer):
+    with use_tracer(tracer), kernels.use_backend(_worker_selection):
         with current_tracer().span(
             "parallel.batch",
             kind=payload["kind"],
@@ -225,16 +227,12 @@ class ParallelExecutor:
         self,
         relation,
         jobs: Optional[int] = None,
-        backend: Optional[str] = None,
         min_batch: Optional[int] = None,
         retries: Optional[int] = None,
         retry_backoff: Optional[float] = None,
     ):
         self.relation = relation
         self.jobs = resolve_jobs(jobs)
-        #: Backend resolved eagerly so workers use the parent's default
-        #: even under spawn (which re-imports and would re-read the env).
-        self.backend = kernels.resolve_backend(backend)
         self.min_batch = DEFAULT_MIN_BATCH if min_batch is None else max(1, min_batch)
         self.retries = DEFAULT_POOL_RETRIES if retries is None else max(0, retries)
         self.retry_backoff = (
@@ -278,7 +276,9 @@ class ParallelExecutor:
             # Spawn-started workers get their own resource tracker and
             # must unregister the attachment; fork-started workers share
             # the parent's (see shm._attach).
-            initargs=(self._buffers.spec, method != "fork"),
+            initargs=(
+                self._buffers.spec, method != "fork", kernels.active_backend()
+            ),
         )
 
     def run(
@@ -354,7 +354,6 @@ class ParallelExecutor:
                 _run_batch,
                 {
                     "kind": kind,
-                    "backend": self.backend,
                     "collect": collect,
                     "items": list(batch),
                     **(extra or {}),

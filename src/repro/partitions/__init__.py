@@ -2,13 +2,7 @@
 
 from . import kernels
 from .cache import PartitionCache
-from .kernels import (
-    BACKENDS,
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
+from .kernels import BACKENDS, active_backend, use_backend
 from .stripped import Cluster, StrippedPartition, refine_cluster
 
 __all__ = [
@@ -16,10 +10,8 @@ __all__ = [
     "Cluster",
     "PartitionCache",
     "StrippedPartition",
-    "get_default_backend",
+    "active_backend",
     "kernels",
     "refine_cluster",
-    "resolve_backend",
-    "set_default_backend",
     "use_backend",
 ]

@@ -1,4 +1,4 @@
-"""Backend-switchable kernels for the partition and agree-set hot paths.
+"""The partition and agree-set kernels, with a per-row reference copy.
 
 Every discovery algorithm in this library bottoms out in five array
 operations: grouping rows by codes (partition construction), splitting
@@ -7,23 +7,24 @@ partition product, agree-set computation over row pairs, and FD
 validation against a partition (Algorithm 4).  This module implements
 each operation twice:
 
-* ``backend="python"`` — the original per-row dict/loop reference
-  implementations, kept as the differential-testing oracle;
-* ``backend="numpy"`` — vectorized implementations over flat row-index
-  arrays (``lexsort`` grouping, ``reduceat`` reductions, ``packbits``
-  bitmask packing) that do O(rows) work in C instead of Python.
+* ``numpy`` — the kernels every caller runs: vectorized
+  implementations over flat row-index arrays (``lexsort`` grouping,
+  ``reduceat`` reductions, ``packbits`` bitmask packing) that do
+  O(rows) work in C instead of Python;
+* ``python`` — the original per-row dict/loop reference
+  implementations, kept as the differential-testing oracle.
 
-Both backends return *identical* results: cluster lists are emitted in
-a canonical order (sorted by each cluster's first row index, with rows
+Both return *identical* results: cluster lists are emitted in a
+canonical order (sorted by each cluster's first row index, with rows
 inside a cluster in ascending order, assuming ascending inputs), and
 agree sets are plain :class:`~repro.relational.attrset.AttrSet` ints.
-``tests/test_kernels_differential.py`` cross-checks the two backends on
+``tests/test_kernels_differential.py`` cross-checks the two on
 randomized relations under both null semantics.
 
-The process-wide default backend is ``numpy``; it can be overridden
-with the ``REPRO_FD_BACKEND`` environment variable, per call via the
-``backend=`` keyword, or globally via :func:`set_default_backend`
-(the CLI's ``--backend`` flag does the latter).
+:func:`use_backend` is the only selector: ``with use_backend("python"):``
+runs the block — worker pools started inside it included — on the
+reference kernels.  It is the oracle switch for tests and checks;
+nothing else in the library takes a backend argument.
 
 When telemetry is enabled (:func:`repro.telemetry.current_tracer`),
 every kernel call records a ``kernels.<op>.<backend>`` counter and a
@@ -33,10 +34,10 @@ seconds histogram, so traces show exactly where partition time goes.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
-import os
 import time
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,56 +50,41 @@ Cluster = List[int]
 #: Recognized backend names, in reference-first order.
 BACKENDS = ("python", "numpy")
 
-_default_backend = os.environ.get("REPRO_FD_BACKEND", "numpy")
-if _default_backend not in BACKENDS:
-    raise ValueError(
-        f"REPRO_FD_BACKEND must be one of {BACKENDS}, got {_default_backend!r}"
-    )
+_active = "numpy"
 
 
-def get_default_backend() -> str:
-    """The backend used when a kernel is called with ``backend=None``."""
-    return _default_backend
+def active_backend() -> str:
+    """The backend every kernel entry point runs right now."""
+    return _active
 
 
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide default backend; returns the previous one."""
-    global _default_backend
-    backend = resolve_backend(backend)
-    previous = _default_backend
-    _default_backend = backend
-    return previous
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate ``backend``, mapping ``None`` to the current default."""
-    if backend is None:
-        return _default_backend
+@contextlib.contextmanager
+def use_backend(backend: str) -> Iterator[str]:
+    """Run the block on ``backend``'s kernels, then restore the selection."""
+    global _active
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    return backend
+    previous, _active = _active, backend
+    try:
+        yield backend
+    finally:
+        _active = previous
 
 
-class use_backend:
-    """Context manager that temporarily switches the default backend."""
-
-    def __init__(self, backend: str):
-        self.backend = resolve_backend(backend)
-        self._previous: Optional[str] = None
-
-    def __enter__(self) -> str:
-        self._previous = set_default_backend(self.backend)
-        return self.backend
-
-    def __exit__(self, *exc_info) -> None:
-        assert self._previous is not None
-        set_default_backend(self._previous)
-
-
-def _record(tracer, op: str, backend: str, seconds: float) -> None:
+def _run(op: str, python_impl, numpy_impl, *args):
+    """Call the active backend's ``op``; time and record it only when traced."""
+    backend = _active
+    impl = numpy_impl if backend == "numpy" else python_impl
+    tracer = current_tracer()
+    if not tracer.enabled:
+        return impl(*args)
+    start = time.perf_counter()
+    result = impl(*args)
+    seconds = time.perf_counter() - start
     metrics = tracer.metrics
     metrics.counter(f"kernels.{op}.{backend}.calls").inc()
     metrics.histogram(f"kernels.{op}.{backend}.seconds").observe(seconds)
+    return result
 
 
 def _canonical(clusters: List[Cluster]) -> List[Cluster]:
@@ -173,17 +159,9 @@ def _emit(srows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> List[Clust
 # ----------------------------------------------------------------------
 
 
-def group_rows(codes: np.ndarray, backend: Optional[str] = None) -> List[Cluster]:
+def group_rows(codes: np.ndarray) -> List[Cluster]:
     """Group all rows by ``codes``; clusters of size >= 2, canonical order."""
-    backend = resolve_backend(backend)
-    impl = _group_rows_numpy if backend == "numpy" else _group_rows_python
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return impl(codes)
-    start = time.perf_counter()
-    result = impl(codes)
-    _record(tracer, "group", backend, time.perf_counter() - start)
-    return result
+    return _run("group", _group_rows_python, _group_rows_numpy, codes)
 
 
 def _group_rows_python(codes: np.ndarray) -> List[Cluster]:
@@ -218,26 +196,18 @@ def _group_rows_numpy(codes: np.ndarray) -> List[Cluster]:
 def refine_clusters(
     codes_list: Sequence[np.ndarray],
     clusters: Sequence[Cluster],
-    backend: Optional[str] = None,
 ) -> List[Cluster]:
     """Split every cluster by the codes of one or more attributes.
 
     Rows that end up alone are stripped; the surviving clusters come
     back in canonical order.  ``codes_list`` may hold several code
-    arrays — the numpy backend then groups by the full key tuple in a
+    arrays — the numpy kernel then groups by the full key tuple in a
     single ``lexsort`` pass instead of refining attribute by attribute.
     """
-    backend = resolve_backend(backend)
-    impl = (
-        _refine_clusters_numpy if backend == "numpy" else _refine_clusters_python
+    return _run(
+        "refine", _refine_clusters_python, _refine_clusters_numpy,
+        codes_list, clusters,
     )
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return impl(codes_list, clusters)
-    start = time.perf_counter()
-    result = impl(codes_list, clusters)
-    _record(tracer, "refine", backend, time.perf_counter() - start)
-    return result
 
 
 def _refine_clusters_python(
@@ -297,20 +267,12 @@ def intersect_clusters(
     n_rows: int,
     left: Sequence[Cluster],
     right: Sequence[Cluster],
-    backend: Optional[str] = None,
 ) -> List[Cluster]:
     """The probe-table partition product of two cluster lists."""
-    backend = resolve_backend(backend)
-    impl = (
-        _intersect_clusters_numpy if backend == "numpy" else _intersect_clusters_python
+    return _run(
+        "intersect", _intersect_clusters_python, _intersect_clusters_numpy,
+        n_rows, left, right,
     )
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return impl(n_rows, left, right)
-    start = time.perf_counter()
-    result = impl(n_rows, left, right)
-    _record(tracer, "intersect", backend, time.perf_counter() - start)
-    return result
 
 
 def _intersect_clusters_python(
@@ -374,22 +336,12 @@ def _intersect_clusters_numpy(
 def clusters_constant_on(
     codes: np.ndarray,
     clusters: Sequence[Cluster],
-    backend: Optional[str] = None,
 ) -> bool:
     """True iff every cluster holds a single code value of ``codes``."""
-    backend = resolve_backend(backend)
-    impl = (
-        _clusters_constant_on_numpy
-        if backend == "numpy"
-        else _clusters_constant_on_python
+    return _run(
+        "constant", _clusters_constant_on_python, _clusters_constant_on_numpy,
+        codes, clusters,
     )
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return impl(codes, clusters)
-    start = time.perf_counter()
-    result = impl(codes, clusters)
-    _record(tracer, "constant", backend, time.perf_counter() - start)
-    return result
 
 
 def _clusters_constant_on_python(
@@ -428,18 +380,11 @@ def agree_masks(
     matrix: np.ndarray,
     rows_a: np.ndarray,
     rows_b: np.ndarray,
-    backend: Optional[str] = None,
 ) -> List[AttrSet]:
     """Agree-set bitmask of each row pair ``(rows_a[i], rows_b[i])``."""
-    backend = resolve_backend(backend)
-    impl = _agree_masks_numpy if backend == "numpy" else _agree_masks_python
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return impl(matrix, rows_a, rows_b)
-    start = time.perf_counter()
-    result = impl(matrix, rows_a, rows_b)
-    _record(tracer, "agree", backend, time.perf_counter() - start)
-    return result
+    return _run(
+        "agree", _agree_masks_python, _agree_masks_numpy, matrix, rows_a, rows_b
+    )
 
 
 def _agree_masks_python(
@@ -476,27 +421,16 @@ def _agree_masks_numpy(
     return _pack_bool_rows(matrix[rows_a] == matrix[rows_b])
 
 
-def pairwise_agree_sets(
-    matrix: np.ndarray, backend: Optional[str] = None
-) -> Set[AttrSet]:
+def pairwise_agree_sets(matrix: np.ndarray) -> Set[AttrSet]:
     """Distinct agree sets over *all* row pairs (FDEP's negative cover).
 
     Full-schema masks from duplicate rows are included; callers that
     need the non-trivial cover filter them out.
     """
-    backend = resolve_backend(backend)
-    impl = (
-        _pairwise_agree_sets_numpy
-        if backend == "numpy"
-        else _pairwise_agree_sets_python
+    return _run(
+        "agree_all", _pairwise_agree_sets_python, _pairwise_agree_sets_numpy,
+        matrix,
     )
-    tracer = current_tracer()
-    if not tracer.enabled:
-        return impl(matrix)
-    start = time.perf_counter()
-    result = impl(matrix)
-    _record(tracer, "agree_all", backend, time.perf_counter() - start)
-    return result
 
 
 def _pairwise_agree_sets_python(matrix: np.ndarray) -> Set[AttrSet]:
@@ -543,7 +477,6 @@ def validate_clusters(
     rhs: AttrSet,
     rows: np.ndarray,
     lengths: np.ndarray,
-    backend: Optional[str] = None,
 ) -> Validation:
     """Algorithm 4: check which of ``rhs`` survive the refined clusters.
 
@@ -559,17 +492,22 @@ def validate_clusters(
     as soon as no RHS attribute is left, counting the comparisons of
     every chunk up to and including that one.
     """
-    backend = resolve_backend(backend)
-    tracer = current_tracer()
-    start = time.perf_counter() if tracer.enabled else 0.0
-    if backend == "numpy":
-        result = _validate_numpy(matrix, codes_list, rhs, rows, lengths)
-    else:
-        clusters = unflatten_clusters(rows, lengths)
-        result = _validate_python(matrix, codes_list, rhs, clusters)
-    if tracer.enabled:
-        _record(tracer, "validate", backend, time.perf_counter() - start)
-    return result
+    return _run(
+        "validate", _validate_flat_python, _validate_numpy,
+        matrix, codes_list, rhs, rows, lengths,
+    )
+
+
+def _validate_flat_python(
+    matrix: np.ndarray,
+    codes_list: Sequence[np.ndarray],
+    rhs: AttrSet,
+    rows: np.ndarray,
+    lengths: np.ndarray,
+) -> Validation:
+    """The reference on the flat form: rebuild the cluster lists first."""
+    clusters = unflatten_clusters(rows, lengths)
+    return _validate_python(matrix, codes_list, rhs, clusters)
 
 
 def _validate_python(

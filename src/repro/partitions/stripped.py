@@ -15,10 +15,10 @@ Refinement is the primitive that makes the dynamic data manager
 possible: it derives a finer partition from a coarser one without ever
 re-touching rows outside existing clusters.
 
-All of these bottom out in :mod:`repro.partitions.kernels`, which
-provides a per-row ``python`` reference backend and a vectorized
-``numpy`` backend; every operation takes an optional ``backend``
-argument (``None`` uses the process default).
+All of these bottom out in :mod:`repro.partitions.kernels`: the
+vectorized ``numpy`` kernels, or the per-row ``python`` reference
+inside a ``kernels.use_backend("python")`` block (the oracle switch
+for tests).
 """
 
 from __future__ import annotations
@@ -81,18 +81,14 @@ class StrippedPartition:
         return cls._from_kernel(attrset.EMPTY, clusters, relation.n_rows)
 
     @classmethod
-    def for_attribute(
-        cls, relation: Relation, attr: int, backend: Optional[str] = None
-    ) -> "StrippedPartition":
+    def for_attribute(cls, relation: Relation, attr: int) -> "StrippedPartition":
         """Build ``π_A`` by grouping rows on the column's DIIS codes."""
         faults.fire("partition.build.memory", MemoryError)
-        clusters = kernels.group_rows(relation.codes(attr), backend=backend)
+        clusters = kernels.group_rows(relation.codes(attr))
         return cls._from_kernel(attrset.singleton(attr), clusters, relation.n_rows)
 
     @classmethod
-    def for_attrs(
-        cls, relation: Relation, attrs: AttrSet, backend: Optional[str] = None
-    ) -> "StrippedPartition":
+    def for_attrs(cls, relation: Relation, attrs: AttrSet) -> "StrippedPartition":
         """Build ``π_X`` for arbitrary ``X`` in one multi-key grouping pass."""
         members = attrset.to_list(attrs)
         if not members:
@@ -102,7 +98,6 @@ class StrippedPartition:
         clusters = kernels.refine_clusters(
             [relation.codes(attr) for attr in members],
             base.clusters,
-            backend=backend,
         )
         return cls._from_kernel(attrs, clusters, relation.n_rows)
 
@@ -157,23 +152,16 @@ class StrippedPartition:
     # Refinement (Algorithm 5) and product
     # ------------------------------------------------------------------
 
-    def refine(
-        self, relation: Relation, attr: int, backend: Optional[str] = None
-    ) -> "StrippedPartition":
+    def refine(self, relation: Relation, attr: int) -> "StrippedPartition":
         """``π_XA`` from ``π_X``: split every cluster on attribute codes."""
         faults.fire("partition.refine.memory", MemoryError)
-        clusters = kernels.refine_clusters(
-            [relation.codes(attr)], self.clusters, backend=backend
-        )
+        clusters = kernels.refine_clusters([relation.codes(attr)], self.clusters)
         return StrippedPartition._from_kernel(
             attrset.add(self.attrs, attr), clusters, self.n_rows
         )
 
     def refine_many(
-        self,
-        relation: Relation,
-        attrs: Iterable[int],
-        backend: Optional[str] = None,
+        self, relation: Relation, attrs: Iterable[int]
     ) -> "StrippedPartition":
         """Refine by several attributes in one kernel pass."""
         attr_list = list(attrs)
@@ -183,15 +171,12 @@ class StrippedPartition:
         clusters = kernels.refine_clusters(
             [relation.codes(attr) for attr in attr_list],
             self.clusters,
-            backend=backend,
         )
         return StrippedPartition._from_kernel(
             self.attrs | attrset.from_attrs(attr_list), clusters, self.n_rows
         )
 
-    def intersect(
-        self, other: "StrippedPartition", backend: Optional[str] = None
-    ) -> "StrippedPartition":
+    def intersect(self, other: "StrippedPartition") -> "StrippedPartition":
         """TANE's partition product: ``π_X ∩ π_Y = π_{X∪Y}``.
 
         Implements the classic probe-table algorithm: rows are tagged
@@ -199,7 +184,7 @@ class StrippedPartition:
         cluster are then grouped by that tag.
         """
         clusters = kernels.intersect_clusters(
-            self.n_rows, self.clusters, other.clusters, backend=backend
+            self.n_rows, self.clusters, other.clusters
         )
         return StrippedPartition._from_kernel(
             self.attrs | other.attrs, clusters, self.n_rows
@@ -209,17 +194,13 @@ class StrippedPartition:
     # FD checks
     # ------------------------------------------------------------------
 
-    def refines_attribute(
-        self, relation: Relation, attr: int, backend: Optional[str] = None
-    ) -> bool:
+    def refines_attribute(self, relation: Relation, attr: int) -> bool:
         """True iff the FD ``X -> attr`` holds on ``relation``.
 
         Holds exactly when every cluster of ``π_X`` is constant on the
         attribute's codes.
         """
-        return kernels.clusters_constant_on(
-            relation.codes(attr), self.clusters, backend=backend
-        )
+        return kernels.clusters_constant_on(relation.codes(attr), self.clusters)
 
 
 def refine_cluster(codes: np.ndarray, cluster: Cluster) -> List[Cluster]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from pathlib import Path
-from typing import Iterable, List, Optional, Set, Union
+from typing import Iterable, Iterator, List, Optional, Set, Union
 
 from ..resilience import faults
 from ..telemetry import current_tracer
@@ -99,6 +99,15 @@ def read_csv(
     )
 
 
+def _records(reader) -> Iterator[List[str]]:
+    """The reader's records; a ``csv.Error`` (a field over
+    ``csv.field_size_limit()``, say) becomes a SchemaError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"CSV line {reader.line_num}: {exc}") from exc
+
+
 def read_csv_text(
     text: str,
     *,
@@ -112,14 +121,16 @@ def read_csv_text(
     """Parse CSV content from a string (see :func:`read_csv`)."""
     _check_policy(on_bad_row)
     markers = set(null_markers) if null_markers is not None else DEFAULT_NULL_MARKERS
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
+    # newline="" hands line endings to the csv module, as it requires:
+    # CR, LF and CRLF files all load, and quoted newlines stay in fields.
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     rows: List[List[object]] = []
     schema: Optional[RelationSchema] = None
     width: Optional[int] = None
     quarantined = 0
     padded = 0
     chaos = faults.armed()
-    for index, record in enumerate(reader):
+    for index, record in enumerate(_records(reader)):
         line = reader.line_num  # physical line (records may span lines)
         if index == 0 and has_header:
             schema = RelationSchema(record)

@@ -75,16 +75,13 @@ class _VirtualJoin:
                 self.entry.graph,
                 self.config.join_path,
                 on_dangling=self.config.on_dangling or "raise",
-                backend=self.config.backend,
             )
         return self._provenance
 
     @property
     def relation(self) -> Relation:
         if self._relation is None:
-            self._relation = lift_relation(
-                self.entry.graph, self.provenance, backend=self.config.backend
-            )
+            self._relation = lift_relation(self.entry.graph, self.provenance)
         return self._relation
 
 

@@ -5,7 +5,15 @@ algorithm, config key)``; two requests share a cache entry exactly when
 their :meth:`JobConfig.key` strings are equal.  The key is a canonical
 JSON rendering (sorted keys, no whitespace, ``None`` fields dropped),
 so dict ordering, spelling of byte sizes (``"64m"`` vs ``67108864``)
-and omitted-vs-default fields all normalize away.
+and omitted-vs-default fields all normalize away.  The worker count
+``jobs`` is left out of the key: covers and stats are byte-identical
+for every value (see :mod:`repro.parallel`).
+
+A config is checked against its algorithm when it is built: every
+constructor kwarg it would pass must be a parameter of the registered
+constructor, so a typo or an option the algorithm lacks (``jobs`` for
+anything but DHyFD) is a :class:`ConfigError` — an HTTP 400 at submit
+— rather than a job that fails in the worker.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..algorithms.registry import algorithm_names
+from ..algorithms.registry import algorithm_names, algorithm_parameters
 from ..resilience import RunBudget, parse_bytes
 
 _ON_LIMIT_POLICIES = ("raise", "partial")
@@ -54,7 +62,6 @@ class JobConfig:
 
     algorithm: str = "dhyfd"
     jobs: Optional[int] = None
-    backend: Optional[str] = None
     time_limit: Optional[float] = None
     memory_budget: Optional[int] = None
     on_limit: str = "raise"
@@ -84,18 +91,26 @@ class JobConfig:
                 f"on_dangling must be one of {_ON_DANGLING_POLICIES}, "
                 f"got {self.on_dangling!r}"
             )
+        unknown = sorted(
+            set(self.algorithm_kwargs()) - algorithm_parameters(self.algorithm)
+        )
+        if unknown:
+            raise ConfigError(
+                f"algorithm {self.algorithm!r} takes no "
+                f"{', '.join(map(repr, unknown))} option"
+            )
 
     @classmethod
     def from_dict(cls, data: Optional[Dict[str, object]]) -> "JobConfig":
         """Build a config from a request dict (HTTP body / CLI flags).
 
         ``memory_budget`` accepts plain bytes or ``"64m"``-style
-        strings; unknown keys become algorithm ``extra`` kwargs.
+        strings; other keys become algorithm ``extra`` kwargs, which
+        must name constructor parameters of the algorithm.
         """
         data = dict(data or {})
         algorithm = str(data.pop("algorithm", "dhyfd")).lower()
         jobs = data.pop("jobs", None)
-        backend = data.pop("backend", None)
         time_limit = data.pop("time_limit", None)
         memory_budget = data.pop("memory_budget", None)
         on_limit = str(data.pop("on_limit", "raise"))
@@ -115,7 +130,6 @@ class JobConfig:
         return cls(
             algorithm=algorithm,
             jobs=int(jobs) if jobs is not None else None,
-            backend=str(backend) if backend is not None else None,
             time_limit=float(time_limit) if time_limit is not None else None,
             memory_budget=parse_bytes(memory_budget) if memory_budget is not None else None,
             on_limit=on_limit,
@@ -128,7 +142,7 @@ class JobConfig:
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly dict; ``from_dict`` of it rebuilds this config."""
         payload: Dict[str, object] = {"algorithm": self.algorithm, "on_limit": self.on_limit}
-        for name in ("jobs", "backend", "time_limit", "memory_budget", "top_k"):
+        for name in ("jobs", "time_limit", "memory_budget", "top_k"):
             value = getattr(self, name)
             if value is not None:
                 payload[name] = value
@@ -146,8 +160,11 @@ class JobConfig:
         return replace(self, top_k=None)
 
     def key(self) -> str:
-        """Canonical string identity (the config part of cache keys)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Canonical string identity (the config part of cache keys);
+        ``jobs`` does not change a result, so it is not part of it."""
+        payload = self.to_dict()
+        payload.pop("jobs", None)
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def algorithm_kwargs(self) -> Dict[str, object]:
         """Constructor kwargs for :func:`~repro.algorithms.make_algorithm`.
@@ -160,8 +177,6 @@ class JobConfig:
         kwargs: Dict[str, object] = dict(self.extra)
         if self.jobs is not None:
             kwargs["jobs"] = self.jobs
-        if self.backend is not None:
-            kwargs["backend"] = self.backend
         if self.time_limit is not None:
             kwargs["time_limit"] = self.time_limit
         if self.memory_budget is not None:

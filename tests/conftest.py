@@ -19,7 +19,7 @@ def make_random_relation(seed: int, semantics=NullSemantics.EQ) -> Relation:
     Shape, per-column cardinality, and null rate are all drawn from the
     seed, so a range of seeds covers wide/narrow, dense/sparse, and
     null-heavy relations.  Used by the kernel differential tests to
-    cross-check the python and numpy backends.
+    cross-check the python and numpy kernels.
     """
     rng = random.Random(seed)
     n_rows = rng.choice([2, 3, 10, 40, 120])

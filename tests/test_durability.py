@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import json
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.registry import make_algorithm
 from repro.core.base import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
@@ -209,6 +213,93 @@ class TestJobJournal:
         journal.close(compact=False)
 
 
+#: Journal appends: (record type, job number).
+_WAL_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["submit", "start", "checkpoint", "cancel", "finish"]),
+        st.integers(0, 3),
+    ),
+    max_size=8,
+)
+
+
+def write_wal(path, ops):
+    """Append ``ops`` to a fresh WAL; return each frame's end offset."""
+    journal = JobJournal(path, fsync=False)
+    ends = []
+    for kind, n in ops:
+        job_id = f"job-{n}"
+        if kind == "submit":
+            journal.record_submit(job_id, f"fp-{n}", "discover", {"jobs": n})
+        elif kind == "start":
+            journal.record_start(job_id)
+        elif kind == "checkpoint":
+            journal.record_checkpoint(job_id, {"validation_level": n})
+        elif kind == "cancel":
+            journal.record_cancel(job_id)
+        else:
+            journal.record_finish(job_id, "done")
+        ends.append(path.stat().st_size)
+    journal.close(compact=False)
+    return ends
+
+
+def replay(path):
+    """``(records replayed, job table)`` of a fresh replay of ``path``."""
+    journal = JobJournal(path, fsync=False)
+    journal.close(compact=False)
+    return journal.replayed_records, journal.jobs
+
+
+class TestJournalReplayFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(ops=_WAL_OPS, tail=st.binary(max_size=64))
+    def test_garbage_after_valid_frames_is_cut_off(self, ops, tail):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / WAL_FILENAME
+            ends = write_wal(path, ops)
+            end = ends[-1] if ends else 0
+            _, expected = replay(path)
+            with open(path, "ab") as handle:
+                handle.write(tail)
+
+            journal = JobJournal(path, fsync=False)
+            assert journal.replayed_records == len(ops)
+            assert journal.jobs == expected
+            assert path.stat().st_size == end
+            # The journal appends from the cut, and the next replay sees it.
+            assert journal.record_submit("job-new", "fp-new", "discover", {})
+            journal.close(compact=False)
+            count, jobs = replay(path)
+            assert count == len(ops) + 1
+            assert "job-new" in jobs
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=_WAL_OPS.filter(bool),
+        flips=st.lists(
+            st.tuples(st.integers(0, 2**16), st.integers(1, 255)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_byte_flips_keep_a_prefix(self, ops, flips):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / WAL_FILENAME
+            ends = write_wal(path, ops)
+            raw = bytearray(path.read_bytes())
+            for position, mask in flips:
+                raw[position % len(raw)] ^= mask
+            path.write_bytes(bytes(raw))
+
+            kept, jobs = replay(path)
+            assert kept <= len(ops)
+            prefix = Path(tmp) / "prefix.wal"
+            write_wal(prefix, ops[:kept])
+            assert jobs == replay(prefix)[1]
+            assert path.stat().st_size == (ends[kept - 1] if kept else 0)
+
+
 # ----------------------------------------------------------------------
 # Scheduler recovery
 # ----------------------------------------------------------------------
@@ -253,6 +344,22 @@ class TestSchedulerRecover:
         # Fresh ids never collide with recovered ones.
         fresh = scheduler.submit("fp-ok", "discover", JobConfig.from_dict(None))
         assert fresh.job_id == "job-5"
+        scheduler.shutdown()
+        journal.close(compact=False)
+
+    def test_journaled_config_with_retired_key_is_lost(self, tmp_path):
+        """A journaled job whose config names a key no algorithm takes
+        (the retired ``backend``) cannot be rebuilt: it ends ``lost``."""
+        journal = self.make_journal(tmp_path)
+        journal.record_submit(
+            "job-1", "fp-ok", "discover", {"backend": "python"}, submitted_at=1.0
+        )
+        ran = []
+        scheduler = JobScheduler(ran.append, max_workers=1, journal=journal)
+        counts = scheduler.recover(dataset_ok=lambda fp: True)
+        assert counts == {"completed": 0, "requeued": 0, "resumed": 0, "lost": 1}
+        assert scheduler.get("job-1").status == LOST
+        assert ran == []
         scheduler.shutdown()
         journal.close(compact=False)
 

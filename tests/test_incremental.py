@@ -97,7 +97,7 @@ class TestRemoveRows:
 
     def test_rediscovery_reuses_algorithm_kwargs(self, monkeypatch, city_relation):
         """Regression: remove_rows used to rediscover with default kwargs,
-        dropping the maintainer's configured jobs/backend."""
+        dropping the maintainer's configured jobs/ratio_threshold."""
         from repro.incremental import maintainer as maintainer_mod
 
         calls = []
@@ -111,22 +111,22 @@ class TestRemoveRows:
             maintainer_mod, "make_algorithm", spying_make_algorithm
         )
         maintainer = IncrementalFDMaintainer(
-            city_relation, algorithm="dhyfd", backend="python", jobs=1
+            city_relation, algorithm="dhyfd", ratio_threshold=2.5, jobs=1
         )
         maintainer.remove_rows([0])
         assert len(calls) == 2  # initial discovery + rediscovery
         for name, kwargs in calls:
             assert name == "dhyfd"
-            assert kwargs.get("backend") == "python"
+            assert kwargs.get("ratio_threshold") == 2.5
             assert kwargs.get("jobs") == 1
         assert maintainer.cover == fresh_discovery(maintainer.relation)
 
     def test_kwargs_with_precomputed_cover(self, city_relation):
         cover = fresh_discovery(city_relation)
         maintainer = IncrementalFDMaintainer(
-            city_relation, cover=cover, backend="python"
+            city_relation, cover=cover, ratio_threshold=2.5
         )
-        assert maintainer.algorithm_kwargs == {"backend": "python"}
+        assert maintainer.algorithm_kwargs == {"ratio_threshold": 2.5}
         maintainer.remove_rows([5])
         assert maintainer.cover == fresh_discovery(maintainer.relation)
 

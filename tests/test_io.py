@@ -2,10 +2,22 @@
 
 from __future__ import annotations
 
-import pytest
+import csv
 
-from repro.relational.io import read_csv, read_csv_text, to_csv_text, write_csv
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.relational.io import (
+    ON_BAD_ROW_POLICIES,
+    read_csv,
+    read_csv_text,
+    to_csv_text,
+    write_csv,
+)
 from repro.relational.null import NULL, NullSemantics
+from repro.relational.relation import Relation
+from repro.relational.schema import SchemaError
 
 CSV = """name,zip,city
 ann,z1,c1
@@ -165,6 +177,51 @@ class TestBadRowPolicies:
         assert rel.n_rows == 2  # replacement char keeps the row rectangular
         events = tracer.find_events("csv_quarantine")
         assert events and events[0].attrs["kind"] == "decode"
+
+
+class TestLineEndings:
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_cr_and_crlf_files_load_like_lf(self, newline):
+        lf = read_csv_text(CSV)
+        other = read_csv_text(CSV.replace("\n", newline))
+        assert other.fingerprint() == lf.fingerprint()
+
+    def test_quoted_line_breaks_stay_in_the_field(self):
+        rel = read_csv_text('a,b\r\n1,"x\r\ny"\r\n2,"p\rq"\r\n')
+        assert [rel.value(0, 1), rel.value(1, 1)] == ["x\r\ny", "p\rq"]
+
+    @pytest.mark.parametrize("policy", ON_BAD_ROW_POLICIES)
+    def test_oversized_field_is_a_schema_error_naming_the_line(self, policy):
+        limit = csv.field_size_limit()
+        text = "a,b\n1,2\n3," + "x" * (limit + 1) + "\n"
+        with pytest.raises(SchemaError, match="CSV line 3: field larger"):
+            read_csv_text(text, on_bad_row=policy)
+        assert csv.field_size_limit() == limit
+
+
+#: Text biased towards what CSV parsing branches on.
+_CSV_TEXT = st.one_of(
+    st.text(st.sampled_from('ab1,;"\r\n \t?-\x00\u00e9'), max_size=120),
+    st.text(max_size=120),
+)
+
+
+class TestReadCsvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=_CSV_TEXT,
+        policy=st.sampled_from(ON_BAD_ROW_POLICIES),
+        has_header=st.booleans(),
+    )
+    def test_arbitrary_text_is_a_relation_or_a_value_error(
+        self, text, policy, has_header
+    ):
+        try:
+            relation = read_csv_text(text, on_bad_row=policy, has_header=has_header)
+        except ValueError:  # SchemaError included
+            return
+        assert isinstance(relation, Relation)
+        assert relation.n_rows >= 0
 
 
 class TestCsvCorruptionFault:

@@ -49,8 +49,12 @@ def edge_case_relations(semantics):
 
 
 def both_backends(fn):
-    """Run ``fn(backend)`` for both backends and return the results."""
-    return fn("python"), fn("numpy")
+    """Run ``fn(backend)`` under each backend and return the results."""
+    results = []
+    for backend in ("python", "numpy"):
+        with kernels.use_backend(backend):
+            results.append(fn(backend))
+    return tuple(results)
 
 
 @pytest.mark.parametrize("semantics", SEMANTICS)
@@ -64,7 +68,7 @@ class TestPartitionKernels:
                 rng.sample(range(rel.n_cols), rng.randint(1, rel.n_cols))
             )
             py, np_ = both_backends(
-                lambda b: StrippedPartition.for_attrs(rel, mask, backend=b)
+                lambda b: StrippedPartition.for_attrs(rel, mask)
             )
             assert py.clusters == np_.clusters
             assert py.attrs == np_.attrs
@@ -74,13 +78,12 @@ class TestPartitionKernels:
         rng = random.Random(seed + 2)
         attr = rng.randrange(rel.n_cols)
         other = rng.randrange(rel.n_cols)
-        base_py = StrippedPartition.for_attribute(rel, attr, backend="python")
-        base_np = StrippedPartition.for_attribute(rel, attr, backend="numpy")
+        base_py, base_np = both_backends(
+            lambda b: StrippedPartition.for_attribute(rel, attr)
+        )
         assert base_py.clusters == base_np.clusters
         refined = both_backends(
-            lambda b: (base_py if b == "python" else base_np).refine(
-                rel, other, backend=b
-            )
+            lambda b: (base_py if b == "python" else base_np).refine(rel, other)
         )
         assert refined[0].clusters == refined[1].clusters
 
@@ -89,7 +92,7 @@ class TestPartitionKernels:
         universal = StrippedPartition.universal(rel)
         attrs = list(range(rel.n_cols))
         py, np_ = both_backends(
-            lambda b: universal.refine_many(rel, attrs, backend=b)
+            lambda b: universal.refine_many(rel, attrs)
         )
         assert py.clusters == np_.clusters
 
@@ -101,9 +104,9 @@ class TestPartitionKernels:
         right_mask = attrset.singleton(1)
 
         def product(backend):
-            left = StrippedPartition.for_attrs(rel, left_mask, backend=backend)
-            right = StrippedPartition.for_attrs(rel, right_mask, backend=backend)
-            return left.intersect(right, backend=backend)
+            left = StrippedPartition.for_attrs(rel, left_mask)
+            right = StrippedPartition.for_attrs(rel, right_mask)
+            return left.intersect(right)
 
         py, np_ = both_backends(product)
         assert py.clusters == np_.clusters
@@ -116,14 +119,11 @@ class TestPartitionKernels:
     def test_refines_attribute_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
         for lhs_attr in range(rel.n_cols):
-            partition_py = StrippedPartition.for_attribute(
-                rel, lhs_attr, backend="python"
-            )
+            with kernels.use_backend("python"):
+                partition_py = StrippedPartition.for_attribute(rel, lhs_attr)
             for rhs_attr in range(rel.n_cols):
                 py, np_ = both_backends(
-                    lambda b: partition_py.refines_attribute(
-                        rel, rhs_attr, backend=b
-                    )
+                    lambda b: partition_py.refines_attribute(rel, rhs_attr)
                 )
                 assert py == np_
 
@@ -139,7 +139,7 @@ class TestAgreeSetKernels:
         ]
 
         def run(backend):
-            sampler = AgreeSetSampler(rel, singletons, backend=backend)
+            sampler = AgreeSetSampler(rel, singletons)
             sets_a, stats_a = sampler.sample_round()
             sets_b, stats_b = sampler.sample_round()
             return sets_a, sets_b, stats_a.comparisons, stats_b.comparisons
@@ -149,7 +149,7 @@ class TestAgreeSetKernels:
 
     def test_all_agree_sets_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
-        py, np_ = both_backends(lambda b: all_agree_sets(rel, backend=b))
+        py, np_ = both_backends(lambda b: all_agree_sets(rel))
         assert py == np_
 
     def test_validate_fd_identical(self, seed, semantics):
@@ -163,8 +163,8 @@ class TestAgreeSetKernels:
         start = attrset.singleton(lhs_attrs[0])
 
         def run(backend):
-            partition = StrippedPartition.for_attrs(rel, start, backend=backend)
-            outcome = validate_fd(rel, lhs, rhs, partition, backend=backend)
+            partition = StrippedPartition.for_attrs(rel, start)
+            outcome = validate_fd(rel, lhs, rhs, partition)
             return outcome.valid_rhs, outcome.non_fd_lhs, outcome.comparisons
 
         py, np_ = both_backends(run)
@@ -176,7 +176,7 @@ def validate_both(rel, lhs, rhs, partition):
     backends; both validate the same ``partition``."""
 
     def run(backend):
-        outcome = validate_fd(rel, lhs, rhs, partition, backend=backend)
+        outcome = validate_fd(rel, lhs, rhs, partition)
         return outcome.valid_rhs, outcome.non_fd_lhs, outcome.comparisons
 
     py, np_ = both_backends(run)
@@ -337,8 +337,9 @@ def test_validate_flat_matches_validate_fd(backend):
     rhs = attrset.complement(lhs, rel.n_cols)
     partition = StrippedPartition.for_attrs(rel, attrset.singleton(1))
     rows, lengths = partition.flat()
-    flat = validate_flat(rel, lhs, rhs, partition.attrs, rows, lengths, backend=backend)
-    nested = validate_fd(rel, lhs, rhs, partition, backend=backend)
+    with kernels.use_backend(backend):
+        flat = validate_flat(rel, lhs, rhs, partition.attrs, rows, lengths)
+        nested = validate_fd(rel, lhs, rhs, partition)
     assert (flat.valid_rhs, flat.non_fd_lhs, flat.comparisons) == (
         nested.valid_rhs, nested.non_fd_lhs, nested.comparisons
     )
@@ -354,11 +355,10 @@ def test_validation_oracle_on_every_discovery_call(name, monkeypatch):
 
     calls = []
 
-    def checked(relation, lhs, rhs, partition, backend=None):
-        results = [
-            validate_fd(relation, lhs, rhs, partition, backend=b)
-            for b in ("python", "numpy")
-        ]
+    def checked(relation, lhs, rhs, partition):
+        results = both_backends(
+            lambda b: validate_fd(relation, lhs, rhs, partition)
+        )
         py, np_ = (
             (r.valid_rhs, r.non_fd_lhs, r.comparisons) for r in results
         )
@@ -390,7 +390,7 @@ def test_validation_spans_make_no_refine_calls(monkeypatch):
     monkeypatch.setattr(kernels, "refine_clusters", refine_probe)
     tracer = Tracer()
     with use_tracer(tracer):
-        result = DHyFD(backend="numpy", jobs=1).discover(
+        result = DHyFD(jobs=1).discover(
             load_benchmark("weather", n_rows=300)
         )
     parents = [event.span for event in tracer.find_events("test.refine")]
@@ -409,8 +409,7 @@ def test_validation_spans_make_no_refine_calls(monkeypatch):
 def test_dhyfd_covers_identical(seed, semantics):
     """Full discovery produces byte-identical covers on both backends."""
     rel = make_random_relation(seed, semantics)
-    py = DHyFD(backend="python").discover(rel)
-    np_ = DHyFD(backend="numpy").discover(rel)
+    py, np_ = both_backends(lambda b: DHyFD().discover(rel))
     assert py.fds == np_.fds
     assert py.format_fds() == np_.format_fds()
 
@@ -421,13 +420,12 @@ def test_edge_cases(semantics):
     for rel in edge_case_relations(semantics):
         mask = attrset.full_set(rel.n_cols)
         py, np_ = both_backends(
-            lambda b: StrippedPartition.for_attrs(rel, mask, backend=b)
+            lambda b: StrippedPartition.for_attrs(rel, mask)
         )
         assert py.clusters == np_.clusters
-        agree_py, agree_np = both_backends(lambda b: all_agree_sets(rel, b))
+        agree_py, agree_np = both_backends(lambda b: all_agree_sets(rel))
         assert agree_py == agree_np
-        cover_py = DHyFD(backend="python").discover(rel).fds
-        cover_np = DHyFD(backend="numpy").discover(rel).fds
+        cover_py, cover_np = both_backends(lambda b: DHyFD().discover(rel).fds)
         assert cover_py == cover_np
 
 
@@ -441,14 +439,17 @@ def test_single_row_clusters_strip_identically(semantics):
     )
     base = StrippedPartition.for_attribute(rel, 0)
     assert base.num_clusters == 2
-    py, np_ = both_backends(lambda b: base.refine(rel, 1, backend=b))
+    py, np_ = both_backends(lambda b: base.refine(rel, 1))
     assert py.clusters == np_.clusters == []
 
 
 def test_default_backend_round_trip():
-    previous = kernels.get_default_backend()
+    previous = kernels.active_backend()
+    assert previous == "numpy"
     with kernels.use_backend("python"):
-        assert kernels.get_default_backend() == "python"
-    assert kernels.get_default_backend() == previous
+        assert kernels.active_backend() == "python"
+    assert kernels.active_backend() == previous
     with pytest.raises(ValueError):
-        kernels.resolve_backend("fortran")
+        with kernels.use_backend("fortran"):
+            pass
+    assert kernels.active_backend() == previous

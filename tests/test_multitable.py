@@ -4,7 +4,7 @@ The acceptance bar (ISSUE 10): ``discover_join_fds`` over the virtual
 join is byte-identical — cover, relation fingerprint, ranked order and
 any ``top_k`` cut — to running the same algorithm on the materialized
 join, across small random schemas x EQ/NEQ null semantics x
-python/numpy backends x jobs=1/2, while the virtual path never builds
+python/numpy kernels x jobs=1/2, while the virtual path never builds
 a joined row (asserted via the ``multitable.materialize`` telemetry
 counter).  Inclusion testing treats nulls identically under both
 semantics, dangling rows follow the pad/drop/raise policies, and the
@@ -42,6 +42,7 @@ from repro.multitable import (
     materialize_join,
     resolve_policy,
 )
+from repro.partitions.kernels import use_backend
 from repro.partitions.stripped import StrippedPartition
 from repro.ranking.ranker import rank_cover
 from repro.relational import attrset
@@ -389,16 +390,17 @@ class TestProvenance:
         graph = two_table_graph(
             child_rows=DIRTY_CHILD, require_inclusion=False
         )
-        with pytest.raises(DanglingRowError):
-            build_provenance(graph, ["child", "parent"], backend=backend)
+        with use_backend(backend), pytest.raises(DanglingRowError):
+            build_provenance(graph, ["child", "parent"])
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_null_fk_is_not_a_violation_under_raise(self, backend):
         rows = [("c0", "p0", "t1"), ("c1", None, "t2")]
         graph = two_table_graph(child_rows=rows)
-        prov = build_provenance(
-            graph, ["child", "parent"], on_dangling="raise", backend=backend
-        )
+        with use_backend(backend):
+            prov = build_provenance(
+                graph, ["child", "parent"], on_dangling="raise"
+            )
         # the null row matches nothing and is dropped, not an error
         assert prov.n_rows == 1
         assert prov.dropped_rows == 1
@@ -408,17 +410,19 @@ class TestProvenance:
         graph = two_table_graph(
             child_rows=DIRTY_CHILD, require_inclusion=False
         )
-        dropped = build_provenance(
-            graph, ["child", "parent"], on_dangling="drop", backend=backend
-        )
+        with use_backend(backend):
+            dropped = build_provenance(
+                graph, ["child", "parent"], on_dangling="drop"
+            )
         assert dropped.n_rows == 2
         assert dropped.dropped_rows == 2
         assert dropped.padded_cells == 0
         assert not np.any(dropped.index["parent"] == PAD)
 
-        padded = build_provenance(
-            graph, ["child", "parent"], on_dangling="pad", backend=backend
-        )
+        with use_backend(backend):
+            padded = build_provenance(
+                graph, ["child", "parent"], on_dangling="pad"
+            )
         assert padded.n_rows == 4
         assert padded.dropped_rows == 0
         assert padded.padded_cells == 2
@@ -429,12 +433,10 @@ class TestProvenance:
         for seed in range(4):
             graph = random_star(seed)
             for path in (["child", "parent"], ["parent", "child"]):
-                py = build_provenance(
-                    graph, path, on_dangling=policy, backend="python"
-                )
-                nmp = build_provenance(
-                    graph, path, on_dangling=policy, backend="numpy"
-                )
+                with use_backend("python"):
+                    py = build_provenance(graph, path, on_dangling=policy)
+                with use_backend("numpy"):
+                    nmp = build_provenance(graph, path, on_dangling=policy)
                 assert py.n_rows == nmp.n_rows
                 assert py.dropped_rows == nmp.dropped_rows
                 assert py.padded_cells == nmp.padded_cells
@@ -473,10 +475,9 @@ class TestLift:
         for seed in range(4):
             graph = random_star(seed, semantics=semantics)
             for path in (["child", "parent"], ["parent", "child"]):
-                prov = build_provenance(
-                    graph, path, on_dangling=policy, backend=backend
-                )
-                lifted = lift_relation(graph, prov, backend=backend)
+                with use_backend(backend):
+                    prov = build_provenance(graph, path, on_dangling=policy)
+                    lifted = lift_relation(graph, prov)
                 mat = materialize_join(graph, path, on_dangling=policy)
                 assert lifted.schema.names == mat.schema.names
                 assert lifted.n_rows == mat.n_rows
@@ -495,19 +496,19 @@ class TestLift:
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_lift_partition_matches_lifted_relation(self, semantics, backend):
         graph = random_star(1, semantics=semantics)
-        prov = build_provenance(
-            graph, ["parent", "child"], on_dangling="pad", backend=backend
-        )
-        lifted = lift_relation(graph, prov, backend=backend)
+        with use_backend(backend):
+            prov = build_provenance(
+                graph, ["parent", "child"], on_dangling="pad"
+            )
+            lifted = lift_relation(graph, prov)
         offset = 0
         for table in prov.tables:
             relation = graph.table(table)
             idx = prov.index[table]
             for n_attrs in (1, 2):
                 attrs = attrset.from_attrs(range(n_attrs))
-                direct = lift_partition(
-                    relation, attrs, idx, semantics, backend=backend
-                )
+                with use_backend(backend):
+                    direct = lift_partition(relation, attrs, idx, semantics)
                 via_relation = StrippedPartition.for_attrs(
                     lifted,
                     attrset.from_attrs(offset + a for a in range(n_attrs)),
@@ -554,13 +555,10 @@ class TestDiscoveryDifferential:
                 )
                 for backend in ("python", "numpy"):
                     for jobs in (1, 2):
-                        result = discover_join_fds(
-                            graph,
-                            path,
-                            on_dangling=policy,
-                            backend=backend,
-                            jobs=jobs,
-                        )
+                        with use_backend(backend):
+                            result = discover_join_fds(
+                                graph, path, on_dangling=policy, jobs=jobs
+                            )
                         tag = (seed, policy, path, backend, jobs)
                         assert (
                             result.relation.fingerprint()

@@ -3,11 +3,12 @@
 The load-bearing property is determinism: for every worker count the
 discovered covers, the DiscoveryStats counters and the redundancy
 numbers must be byte-identical to the serial path, on both kernel
-backends and both null semantics.  Plus the failure model: a crashing
+kernels and both null semantics.  Plus the failure model: a crashing
 worker degrades to the serial path with a telemetry event, never to a
 wrong answer.
 """
 
+import multiprocessing as mp
 import os
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.covers.canonical import canonical_cover
 from repro.parallel import config as parallel_config
 from repro.parallel.pool import chunk_items
 from repro.parallel.shm import SharedRelationBuffers, SharedRelationView
+from repro.partitions.kernels import use_backend
 from repro.partitions.stripped import StrippedPartition
 from repro.ranking.redundancy import (
     NullPolicy,
@@ -163,11 +165,11 @@ class TestDiscoveryDeterminism:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_covers_and_stats_identical_across_jobs(self, seed, backend, semantics):
         relation = make_random_relation(seed, semantics=semantics)
-        baseline = DHyFD(backend=backend, jobs=1).discover(relation)
+        with use_backend(backend):
+            baseline = DHyFD(jobs=1).discover(relation)
         for jobs in (2, 4):
-            result = DHyFD(
-                backend=backend, jobs=jobs, **FORCE_PARALLEL
-            ).discover(relation)
+            with use_backend(backend):
+                result = DHyFD(jobs=jobs, **FORCE_PARALLEL).discover(relation)
             assert set(result.fds) == set(baseline.fds)
             assert _stats_signature(result.stats) == _stats_signature(
                 baseline.stats
@@ -344,6 +346,26 @@ class TestTelemetryReplay:
             if name.startswith("kernels.") and counter.value > 0
         ]
         assert kernel_counters
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_run_the_parents_kernels(self, start_method, monkeypatch):
+        """A pool started inside ``use_backend("python")`` runs the
+        reference kernels in its workers, however they are started."""
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"no {start_method} start method here")
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: [start_method])
+        relation = make_random_relation(11)
+        tracer = Tracer()
+        with use_backend("python"), use_tracer(tracer):
+            result = DHyFD(jobs=2, **FORCE_PARALLEL).discover(relation)
+        kinds = {span.attrs["kind"] for span in tracer.find_spans("parallel.batch")}
+        assert {"sample", "validate"} <= kinds
+        kernel_counters = [
+            name for name in tracer.metrics.counters if name.startswith("kernels.")
+        ]
+        assert "kernels.validate.python.calls" in kernel_counters
+        assert not [name for name in kernel_counters if ".numpy." in name]
+        assert result.fds == DHyFD(jobs=1).discover(relation).fds
 
     def test_record_completed_nests_under_open_span(self):
         tracer = Tracer()

@@ -99,6 +99,28 @@ class TestFrontsAgree:
         assert payload == {"error": f"malformed Content-Length: {length!r}"}
 
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"csv": "a,b\n1,2\n3\n"},  # ragged CSV
+            {"csv": "a,a\n1,2\n"},  # duplicate header
+            {"csv": "a,b\n1,2\n", "semantics": "zzz"},
+            {"columns": ["a", "b"], "rows": [[1, 2], [3]]},  # ragged rows
+            {"csv": "a,b\n1," + "x" * (128 * 1024 + 1) + "\n"},  # field too large
+        ],
+        ids=["ragged-csv", "duplicate-header", "semantics", "ragged-rows", "huge-field"],
+    )
+    def test_malformed_upload_is_the_same_400(self, fronts, body):
+        data = json.dumps(body).encode()
+        raw = (
+            f"POST /datasets HTTP/1.1\r\nHost: x\r\nContent-Length: {len(data)}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode() + data
+        answers = {name: exchange(addr, raw) for name, addr in fronts.items()}
+        assert answers["replica"][:2] == (400, "application/json")
+        assert answers["router"] == answers["replica"]
+
+
 # ----------------------------------------------------------------------
 # Parser fuzzing
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ through the HTTP status endpoint.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -85,13 +86,40 @@ class TestJobConfig:
 
     def test_distinct_configs_distinct_keys(self):
         assert (
-            JobConfig.from_dict({"jobs": 1}).key()
-            != JobConfig.from_dict({"jobs": 2}).key()
+            JobConfig.from_dict({"time_limit": 1}).key()
+            != JobConfig.from_dict({"time_limit": 2}).key()
         )
         assert (
             JobConfig.from_dict({"algorithm": "tane"}).key()
             != JobConfig.from_dict({"algorithm": "dhyfd"}).key()
         )
+
+    def test_worker_count_is_not_part_of_the_key(self):
+        # Covers and stats are identical for any worker count.
+        keys = {JobConfig.from_dict(d).key() for d in ({}, {"jobs": 1}, {"jobs": 2})}
+        assert len(keys) == 1
+        config = JobConfig.from_dict({"jobs": 2})
+        assert config.to_dict()["jobs"] == 2
+        assert config.algorithm_kwargs()["jobs"] == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"bogus": 1},
+            {"backend": "zzz"},
+            {"backend": "numpy"},
+            {"algorithm": "hyfd", "jobs": 2},
+            {"algorithm": "tane", "ratio_threshold": 2.0},
+        ],
+    )
+    def test_kwargs_the_algorithm_lacks_rejected(self, data):
+        with pytest.raises(ConfigError, match="takes no"):
+            JobConfig.from_dict(data)
+
+    def test_kwargs_the_algorithm_takes_accepted(self):
+        JobConfig.from_dict({"algorithm": "dhyfd", "jobs": 2, "ratio_threshold": 2.0})
+        JobConfig.from_dict({"algorithm": "hyfd", "sample_efficiency_threshold": 0.1})
+        JobConfig.from_dict({"algorithm": "tane", "time_limit": 5, "memory_budget": "1m"})
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
@@ -217,6 +245,27 @@ class TestResultStore:
         assert cover_to_json(cached.fds, cached.schema) == cover_to_json(
             result.fds, result.schema
         )
+
+    def test_persisted_entry_with_retired_key_is_a_load_error(
+        self, tmp_path, city_relation
+    ):
+        """An entry written with a config key no algorithm takes (the
+        retired ``backend``) is skipped and counted, not served."""
+        store = ResultStore(persist_dir=tmp_path)
+        store.put(city_relation.fingerprint(), JobConfig(), self.make_result(city_relation))
+        (path,) = tmp_path.glob("*.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["config"]["backend"] = "python"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        counts = {}
+        reborn = ResultStore(
+            persist_dir=tmp_path,
+            count=lambda name, amount=1: counts.__setitem__(
+                name, counts.get(name, 0) + amount
+            ),
+        )
+        assert len(reborn) == 0
+        assert counts["service.store.load_errors"] == 1
 
     def test_malformed_persisted_files_skipped(self, tmp_path, city_relation):
         (tmp_path / "junk.json").write_text("{not json", encoding="utf-8")
@@ -478,6 +527,16 @@ class TestFDService:
         service.discover("city", config={"algorithm": "fdep"})
         assert service.metrics_payload()["counters"]["service.discovery.runs"] == 2
 
+    def test_worker_count_shares_one_cache_entry(self, service, city_relation):
+        service.register_relation(city_relation, name="city")
+        jobs = [
+            service.discover("city", config=config)
+            for config in ({}, {"jobs": 1}, {"jobs": 2})
+        ]
+        assert [job.cached for job in jobs] == [False, True, True]
+        assert service.metrics_payload()["counters"]["service.discovery.runs"] == 1
+        assert jobs[2].config.jobs == 2
+
     def test_rank_job_carries_ranking(self, service, city_relation):
         service.register_relation(city_relation, name="city")
         job = service.rank("city")
@@ -621,6 +680,19 @@ class TestHTTPService:
         with pytest.raises(ServiceError) as excinfo:
             client.submit(info["fingerprint"], config={"algorithm": "bogus"})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"bogus": 1}, {"backend": "zzz"}, {"algorithm": "hyfd", "jobs": 2}],
+    )
+    def test_unknown_config_key_400(self, http_service, config):
+        service, client = http_service
+        info = client.upload_csv(CITY_CSV)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(info["fingerprint"], config=config)
+        assert excinfo.value.status == 400
+        assert "takes no" in str(excinfo.value)
+        assert service.scheduler.counters()["failed"] == 0
 
     def test_unknown_endpoint_404(self, http_service):
         _, client = http_service

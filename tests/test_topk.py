@@ -16,6 +16,7 @@ from repro.algorithms.registry import make_algorithm
 from repro.core.dhyfd import DHyFD
 from repro.algorithms.tane import TANE
 from repro.partitions.cache import PartitionCache
+from repro.partitions.kernels import use_backend
 from repro.ranking.ranker import rank_cover
 from repro.ranking.redundancy import redundancy_upper_bound
 from repro.ranking.topk import TopKTracker
@@ -203,10 +204,11 @@ class TestDifferentialTopK:
     def test_backends_and_jobs_agree(self, backend, jobs, random_relation_factory):
         for seed in (1, 3, 11):
             relation = random_relation_factory(seed)
-            algo = DHyFD(backend=backend, jobs=jobs, parallel_min_rows=1)
+            algo = DHyFD(jobs=jobs, parallel_min_rows=1)
             full = DHyFD().discover(relation)
             for k in (1, 4):
-                result = algo.discover_top_k(relation, k)
+                with use_backend(backend):
+                    result = algo.discover_top_k(relation, k)
                 assert result.fds == first_k(relation, full.fds, k)
 
     def test_generic_fallback_algorithm(self, random_relation_factory):
