@@ -42,6 +42,7 @@ from repro.datasets.synthetic import random_relation
 from repro.parallel.shm import SharedRelationBuffers
 from repro.profiling.profiler import profile
 from repro.ranking.report import column_determinants
+from repro.settings import override
 
 from _utils import OUT_DIR, SCALE, pick
 
@@ -107,35 +108,31 @@ def test_repeated_jobs_speedup():
 
     # Baseline: memory plane off — every job re-derives everything.
     # Best-of-REPEATS batches, like the other timed benches.
-    memplane.set_enabled(False)
     off_s, off_snaps = float("inf"), []
-    try:
+    with override(memplane=False):
         for _ in range(REPEATS):
             memplane.reset_tiers()
             batch_s, snaps = run_jobs(rel, JOBS)
             off_s = min(off_s, batch_s)
             off_snaps += snaps
-    finally:
-        memplane.set_enabled(None)
 
     # Memory plane on: register the dataset, pay the one cold job that
     # fills the shared partition tier, then time the warm steady state.
-    memplane.set_enabled(True)
     warm_s, warm_snaps = float("inf"), []
     try:
-        memplane.reset_tiers()
-        memplane.reset_arena()
-        assert memplane.get_arena().ingest(rel), "dataset registration failed"
-        cold_start = time.perf_counter()
-        cold_snap = snapshot(*job(rel))
-        cold_seconds = time.perf_counter() - cold_start
-        for _ in range(REPEATS):
-            batch_s, snaps = run_jobs(rel, JOBS)
-            warm_s = min(warm_s, batch_s)
-            warm_snaps += snaps
-        gauges = memplane.gauges()
+        with override(memplane=True):
+            memplane.reset_tiers()
+            memplane.reset_arena()
+            assert memplane.get_arena().ingest(rel), "dataset registration failed"
+            cold_start = time.perf_counter()
+            cold_snap = snapshot(*job(rel))
+            cold_seconds = time.perf_counter() - cold_start
+            for _ in range(REPEATS):
+                batch_s, snaps = run_jobs(rel, JOBS)
+                warm_s = min(warm_s, batch_s)
+                warm_snaps += snaps
+            gauges = memplane.gauges()
     finally:
-        memplane.set_enabled(None)
         memplane.reset_arena()
         memplane.reset_tiers()
 
@@ -182,19 +179,15 @@ def test_per_job_buffer_setup():
             buffers.close()
         return sum(times)
 
-    memplane.set_enabled(False)
-    try:
+    with override(memplane=False):
         copy_s = setup_batch(expect_arena=False)
-    finally:
-        memplane.set_enabled(None)
 
-    memplane.set_enabled(True)
     try:
-        memplane.reset_arena()
-        assert memplane.get_arena().ingest(rel)
-        attach_s = setup_batch(expect_arena=True)
+        with override(memplane=True):
+            memplane.reset_arena()
+            assert memplane.get_arena().ingest(rel)
+            attach_s = setup_batch(expect_arena=True)
     finally:
-        memplane.set_enabled(None)
         memplane.reset_arena()
 
     _results["buffer_setup"] = {

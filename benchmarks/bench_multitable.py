@@ -48,6 +48,7 @@ from repro.multitable import (
 )
 from repro.ranking.ranker import rank_cover
 from repro.relational.fd_io import cover_to_json
+from repro.settings import override
 from repro.telemetry import Tracer, use_tracer
 
 from _utils import OUT_DIR, SCALE, pick
@@ -119,31 +120,29 @@ def timed(fn, *args):
     warm shared partition tier — the comparison must run cold.
     """
     best, value = float("inf"), None
-    memplane.set_enabled(False)
     try:
-        for _ in range(REPEATS):
-            memplane.reset_tiers()
-            start = time.perf_counter()
-            value = fn(*args)
-            best = min(best, time.perf_counter() - start)
+        with override(memplane=False):
+            for _ in range(REPEATS):
+                memplane.reset_tiers()
+                start = time.perf_counter()
+                value = fn(*args)
+                best = min(best, time.perf_counter() - start)
     finally:
-        memplane.set_enabled(None)
         memplane.reset_tiers()
     return best, value
 
 
 def peak_memory(fn, *args):
     """tracemalloc peak (bytes) of one cold run."""
-    memplane.set_enabled(False)
     tracemalloc.start()
     try:
-        memplane.reset_tiers()
-        tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
+        with override(memplane=False):
+            memplane.reset_tiers()
+            tracemalloc.reset_peak()
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        memplane.set_enabled(None)
         memplane.reset_tiers()
 
 

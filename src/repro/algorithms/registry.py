@@ -45,7 +45,8 @@ def make_algorithm(
     """Instantiate a discovery algorithm by name.
 
     Extra keyword arguments are forwarded to the constructor (e.g.
-    ``ratio_threshold`` for DHyFD).
+    ``ratio_threshold`` for DHyFD); one it does not take (``jobs`` for
+    all but DHyFD) is a :class:`ValueError` naming it.
     """
     try:
         factory = _REGISTRY[name.lower()]
@@ -53,4 +54,9 @@ def make_algorithm(
         raise ValueError(
             f"unknown algorithm {name!r}; choose from {algorithm_names()}"
         ) from None
+    unknown = sorted(set(kwargs) - algorithm_parameters(factory.name))
+    if unknown:
+        raise ValueError(
+            f"algorithm {name!r} takes no {', '.join(map(repr, unknown))} option"
+        )
     return factory(time_limit=time_limit, **kwargs)

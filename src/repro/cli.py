@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from typing import List, Optional
 
@@ -26,12 +25,12 @@ from .algorithms.registry import algorithm_names, make_algorithm
 from .bench.tables import format_table
 from .covers.canonical import compare_covers
 from .datasets.benchmarks import benchmark_names, get_spec, load_benchmark
-from . import parallel
 from .profiling.profiler import profile
 from .relational.io import ON_BAD_ROW_POLICIES, read_csv, write_csv
 from .relational.null import NullSemantics
 from .relational.relation import Relation
-from .resilience import RunBudget, parse_bytes
+from .resilience import RunBudget
+from .settings import override, parse_bytes, parse_jobs
 from .telemetry import Tracer, format_trace, use_tracer, write_trace_jsonl
 
 
@@ -48,16 +47,7 @@ def package_version() -> str:
 
 
 def _load_input(args: argparse.Namespace) -> Relation:
-    """Resolve --csv / --benchmark inputs into a relation.
-
-    Also applies ``--jobs`` (when the subcommand has it) as the
-    process-wide default, so every algorithm and ranking pass in the
-    invocation uses the chosen worker count.
-    """
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        parallel.set_default_jobs(jobs)
-    _apply_memplane_flag(args)
+    """Resolve --csv / --benchmark inputs into a relation."""
     semantics = NullSemantics.parse(args.null_semantics)
     if args.csv:
         return read_csv(
@@ -75,7 +65,7 @@ def _load_input(args: argparse.Namespace) -> Relation:
 def _parse_jobs_arg(value: str) -> int:
     """argparse type for --jobs: int or 'auto' (0), clean error otherwise."""
     try:
-        return parallel.config._parse_jobs(value, "--jobs")
+        return parse_jobs(value, "--jobs")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -121,17 +111,6 @@ def _add_memplane_arg(parser: argparse.ArgumentParser) -> None:
         help="disable the shared dataset arena / partition tier "
         "(private per-run copies, as before; also $REPRO_FD_MEMPLANE=0)",
     )
-
-
-def _apply_memplane_flag(args: argparse.Namespace) -> None:
-    """Honor --no-memplane: this process and every child it spawns.
-
-    The environment export is what reaches worker pools started with
-    the spawn method and the replicas a cluster manager forks.
-    """
-    if getattr(args, "no_memplane", False):
-        memplane.set_enabled(False)
-        os.environ[memplane.ENV_MEMPLANE] = "0"
 
 
 def _parse_bytes_arg(value: str) -> int:
@@ -409,9 +388,6 @@ def _cmd_multitable(args: argparse.Namespace) -> int:
 
     from .multitable import MultitableError, SchemaGraph, discover_join_fds
 
-    if args.jobs is not None:
-        parallel.set_default_jobs(args.jobs)
-    _apply_memplane_flag(args)
     try:
         if args.star or not args.table:
             # Demo mode: the reddit_star workload (docs/multitable.md).
@@ -469,7 +445,6 @@ def _cmd_multitable(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             on_dangling=args.on_dangling,
             top_k=args.top_k,
-            jobs=args.jobs,
             time_limit=args.time_limit,
         )
     except MultitableError as exc:
@@ -501,7 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import FDService
     from .service.server import make_server
 
-    _apply_memplane_flag(args)
     service = FDService(
         max_workers=args.max_workers,
         store_dir=args.store_dir,
@@ -565,7 +539,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     from .cluster import Cluster
 
-    _apply_memplane_flag(args)
     cluster = Cluster(
         replicas=args.replicas,
         data_dir=args.data_dir,
@@ -981,10 +954,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_settings(args: argparse.Namespace) -> dict:
+    """The settings a command's ``--jobs`` / ``--no-memplane`` flags set."""
+    fields = {}
+    if getattr(args, "jobs", None) is not None:
+        fields["jobs"] = args.jobs
+    if getattr(args, "no_memplane", False):
+        fields["memplane"] = False
+    return fields
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: runs the command under its flags' settings, which
+    reach every algorithm, ranking pass and spawned replica."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    with override(**_flag_settings(args)):
+        return args.handler(args)
 
 
 if __name__ == "__main__":

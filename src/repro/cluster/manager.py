@@ -30,11 +30,13 @@ import sys
 import threading
 import time
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..memplane import arena as _arena
 from ..service.journal import atomic_write_text
+from ..settings import settings
 
 #: Replica lifecycle states (mirrored into ``replicas.json``).
 STARTING = "starting"
@@ -242,20 +244,25 @@ class ReplicaManager:
             args.append("--verbose")
         return args
 
+    @staticmethod
+    def _replica_env(handle: ReplicaHandle) -> Dict[str, str]:
+        """This process's environment plus its settings (CLI overrides
+        included) and the replica's own arena owner token."""
+        child = replace(settings(), arena_owner=handle.arena_owner)
+        return {**os.environ, **child.environ()}
+
     def _spawn(self, handle: ReplicaHandle) -> None:
         """Start one replica and wait for its URL announcement."""
         handle.state = STARTING
         handle.url = None
         handle.probe_failures = 0
         handle.tail = []
-        env = dict(os.environ)
-        env[_arena.ENV_ARENA_OWNER] = handle.arena_owner
         proc = subprocess.Popen(
             self._replica_args(handle),
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-            env=env,
+            env=self._replica_env(handle),
         )
         handle.proc = proc
         url: Optional[str] = None

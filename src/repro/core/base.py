@@ -19,15 +19,14 @@ relation before the limit hit) and the still-``unverified`` candidates.
 from __future__ import annotations
 
 import abc
-import os
 import time
-from dataclasses import replace
 from typing import Callable, Dict, Optional, Tuple
 
 from ..relational.fd import FDSet
 from ..relational.relation import Relation
 from ..resilience import BudgetExceeded, MemorySentinel, RunBudget
 from ..resilience import faults
+from ..settings import settings
 from ..telemetry import current_tracer
 from .result import DiscoveryResult, DiscoveryStats
 
@@ -38,24 +37,6 @@ ON_LIMIT_POLICIES = ("raise", "partial")
 #: the service's job journal persists — see ``docs/durability.md``).
 CHECKPOINT_FORMAT = "repro-fd-checkpoint"
 CHECKPOINT_VERSION = 1
-
-#: Default seconds between checkpoint emissions; override per-algorithm
-#: via ``checkpoint_interval`` or globally via the environment.  Zero
-#: means "every opportunity" (tests and chaos drills).
-DEFAULT_CHECKPOINT_INTERVAL = 5.0
-ENV_CHECKPOINT_INTERVAL = "REPRO_FD_CHECKPOINT_INTERVAL"
-
-
-def default_checkpoint_interval() -> float:
-    """The environment-configured checkpoint cadence (seconds)."""
-    raw = os.environ.get(ENV_CHECKPOINT_INTERVAL)
-    if raw is None:
-        return DEFAULT_CHECKPOINT_INTERVAL
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return DEFAULT_CHECKPOINT_INTERVAL
-
 
 class TimeLimitExceeded(Exception):
     """Raised inside a discovery run when the configured limit passes."""
@@ -184,19 +165,15 @@ class DiscoveryAlgorithm(abc.ABC):
         #: job journal here); None disables checkpoint emission.
         self.checkpoint_sink: Optional[Callable[[Dict[str, object]], None]] = None
         #: Minimum seconds between emissions (0 = every opportunity).
-        self.checkpoint_interval: float = default_checkpoint_interval()
+        self.checkpoint_interval: float = settings().checkpoint_interval
         #: A checkpoint payload to resume from instead of starting cold
         #: (validated against the relation in :meth:`_resume_state`).
         self.resume_from: Optional[Dict[str, object]] = None
         self._last_checkpoint_at: Optional[float] = None
 
     def _run_budget(self) -> RunBudget:
-        """The effective budget: explicit > environment defaults."""
-        if self.budget is not None:
-            if self.budget.time_limit is None and self.time_limit is not None:
-                return replace(self.budget, time_limit=self.time_limit)
-            return self.budget
-        return RunBudget.from_env(time_limit=self.time_limit)
+        """The effective budget: explicit fields, then the settings."""
+        return (self.budget or RunBudget()).resolved(self.time_limit)
 
     def discover(self, relation: Relation) -> DiscoveryResult:
         """Run discovery and return the timed result.

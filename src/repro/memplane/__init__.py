@@ -21,15 +21,12 @@ from typing import Dict
 from .arena import (
     ArenaLease,
     DatasetArena,
-    ENV_ARENA_OWNER,
-    ENV_MEMPLANE,
     SEGMENT_PREFIX,
     current_arena,
     default_owner,
     enabled,
     get_arena,
     reset_arena,
-    set_enabled,
     sweep_orphans,
 )
 from .tier import (
@@ -43,8 +40,6 @@ from .tier import (
 __all__ = [
     "ArenaLease",
     "DatasetArena",
-    "ENV_ARENA_OWNER",
-    "ENV_MEMPLANE",
     "MAX_SHARED_ATTRS",
     "SEGMENT_PREFIX",
     "SharedPartitionTier",
@@ -55,7 +50,6 @@ __all__ = [
     "get_arena",
     "reset_arena",
     "reset_tiers",
-    "set_enabled",
     "sweep_orphans",
     "tier_for",
     "tier_gauges",

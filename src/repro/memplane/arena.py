@@ -29,9 +29,10 @@ cluster manager sets one per replica).  The owner prefix is what makes
 :func:`sweep_orphans` safe: after a replica is SIGKILLed, the manager
 unlinks exactly that replica's leftovers before respawning it.
 
-Disable the whole plane with ``REPRO_FD_MEMPLANE=0`` (or the CLI
-``--no-memplane``): every consumer falls back to the pre-arena private
-copies and results stay byte-identical either way.
+Disable the whole plane with ``REPRO_FD_MEMPLANE=0``, the CLI's
+``--no-memplane`` or ``repro.settings.override(memplane=False)``:
+every consumer falls back to the pre-arena private copies and results
+stay byte-identical either way.
 """
 
 from __future__ import annotations
@@ -47,41 +48,24 @@ import numpy as np
 
 from ..parallel.shm import ShmSpec, relation_arrays
 from ..resilience import faults
-from ..resilience.budget import arena_budget_from_env
-
-#: Kill switch: set to ``0``/``false``/``off`` to disable the memplane.
-ENV_MEMPLANE = "REPRO_FD_MEMPLANE"
-
-#: Segment-name owner token (defaults to ``p<pid>``); one per replica.
-ENV_ARENA_OWNER = "REPRO_FD_ARENA_OWNER"
+from ..settings import settings
 
 #: Leading token of every arena segment name (and /dev/shm file).
 SEGMENT_PREFIX = "reprofd"
 
 _OWNER_SANITIZER = re.compile(r"[^A-Za-z0-9_.-]+")
 
-_enabled_override: Optional[bool] = None
-
 
 def enabled() -> bool:
-    """Is the memplane on?  Env default is on; :func:`set_enabled` wins."""
-    if _enabled_override is not None:
-        return _enabled_override
-    raw = os.environ.get(ENV_MEMPLANE, "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    """Process-wide override (None restores the environment default)."""
-    global _enabled_override
-    _enabled_override = value
+    """Is the memplane on?  (:attr:`repro.settings.Settings.memplane`)"""
+    return settings().memplane
 
 
 def default_owner() -> str:
-    """The segment-owner token: ``REPRO_FD_ARENA_OWNER`` or ``p<pid>``."""
-    raw = os.environ.get(ENV_ARENA_OWNER, "").strip()
-    if raw:
-        return _OWNER_SANITIZER.sub("-", raw)[:48]
+    """The segment-owner token: the ``arena_owner`` setting or ``p<pid>``."""
+    owner = settings().arena_owner
+    if owner:
+        return _OWNER_SANITIZER.sub("-", owner)[:48]
     return f"p{os.getpid()}"
 
 
@@ -194,8 +178,8 @@ class DatasetArena:
     def __init__(self, budget_bytes: Optional[int] = None, owner: Optional[str] = None):
         """Args:
             budget_bytes: evict unpinned entries LRU-first past this
-                total (None = unlimited; env default via
-                ``REPRO_FD_ARENA_BUDGET``).
+                total (None = unlimited; :func:`get_arena` passes the
+                ``arena_budget`` setting, ``REPRO_FD_ARENA_BUDGET``).
             owner: segment-name token (default :func:`default_owner`).
         """
         self.budget_bytes = budget_bytes
@@ -485,7 +469,7 @@ def get_arena() -> DatasetArena:
     global _arena
     with _arena_lock:
         if _arena is None or _arena.closed:
-            _arena = DatasetArena(budget_bytes=arena_budget_from_env())
+            _arena = DatasetArena(budget_bytes=settings().arena_budget)
             atexit.register(_arena.close)
         return _arena
 

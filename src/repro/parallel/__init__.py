@@ -8,11 +8,7 @@ from .config import (
     DEFAULT_MIN_BATCH,
     DEFAULT_MIN_PARALLEL_ITEMS,
     DEFAULT_MIN_PARALLEL_ROWS,
-    ENV_JOBS,
-    get_default_jobs,
     resolve_jobs,
-    set_default_jobs,
-    use_jobs,
 )
 from .merge import merge_validation_outcomes, pack_row_mask, unpack_row_mask
 from .pool import (
@@ -29,21 +25,17 @@ __all__ = [
     "DEFAULT_MIN_BATCH",
     "DEFAULT_MIN_PARALLEL_ITEMS",
     "DEFAULT_MIN_PARALLEL_ROWS",
-    "ENV_JOBS",
     "ParallelExecutor",
     "PoolBrokenError",
     "SharedRelationBuffers",
     "SharedRelationView",
     "ShmSpec",
     "chunk_items",
-    "get_default_jobs",
     "merge_validation_outcomes",
     "pack_row_mask",
     "redundancy_row_masks",
     "resolve_jobs",
     "sample_initial",
-    "set_default_jobs",
     "unpack_row_mask",
-    "use_jobs",
     "validate_level",
 ]

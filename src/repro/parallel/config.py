@@ -1,16 +1,10 @@
 """Worker-count resolution and tuning knobs for the parallel layer.
 
-The effective job count is resolved per call site, in precedence order:
-
-1. an explicit ``jobs=`` argument (``DHyFD(jobs=4)``),
-2. the process-wide default set by :func:`set_default_jobs` (the CLI's
-   ``--jobs`` flag does this),
-3. the ``REPRO_FD_JOBS`` environment variable,
-4. serial (``1``).
-
-``0`` or ``"auto"`` at any of those levels means "one worker per CPU
-core".  The environment variable is read lazily on every resolution so
-tests (and long-lived embedding processes) can change it at runtime.
+A call site's ``jobs=`` argument wins (``DHyFD(jobs=4)``); ``None``
+falls back to :attr:`repro.settings.Settings.jobs` (``REPRO_FD_JOBS``,
+the CLI's ``--jobs``, or an :func:`~repro.settings.override`), which
+defaults to serial.  ``0`` or ``"auto"`` means "one worker per CPU
+core".
 
 The ``DEFAULT_MIN_PARALLEL_*`` thresholds gate when call sites bother
 to spin up a pool at all: below them the per-task work is too small to
@@ -23,8 +17,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Union
 
-#: Environment variable naming the default worker count.
-ENV_JOBS = "REPRO_FD_JOBS"
+from ..settings import parse_jobs, settings
 
 #: Relations with fewer rows than this never go parallel — the shared
 #: memory setup plus dispatch would dominate the work being shipped.
@@ -43,68 +36,10 @@ DEFAULT_POOL_RETRIES = 2
 #: Base backoff (seconds) between pool retries; scaled by attempt number.
 DEFAULT_POOL_RETRY_BACKOFF = 0.05
 
-_default_jobs: Optional[int] = None
-
-
-def _parse_jobs(value: Union[int, str], source: str) -> int:
-    """Normalize a jobs value; ``0``/``"auto"`` mean one-per-core."""
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            return 0
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(
-                f"{source} must be a non-negative integer or 'auto', got {value!r}"
-            ) from None
-    if value < 0:
-        raise ValueError(f"{source} must be >= 0 (0 means all cores), got {value}")
-    return int(value)
-
-
-def get_default_jobs() -> int:
-    """The job count used when a call site passes ``jobs=None``.
-
-    Returns the normalized default (``0`` encodes "auto"): the value
-    installed by :func:`set_default_jobs` if any, else ``REPRO_FD_JOBS``,
-    else ``1``.
-    """
-    if _default_jobs is not None:
-        return _default_jobs
-    env = os.environ.get(ENV_JOBS)
-    if env is None or not env.strip():
-        return 1
-    return _parse_jobs(env, ENV_JOBS)
-
-
-def set_default_jobs(jobs: Union[int, str]) -> int:
-    """Set the process-wide default job count; returns the previous one."""
-    global _default_jobs
-    previous = get_default_jobs()
-    _default_jobs = _parse_jobs(jobs, "jobs")
-    return previous
-
 
 def resolve_jobs(jobs: Optional[Union[int, str]] = None) -> int:
     """The effective worker count (>= 1) for one parallel call."""
-    value = get_default_jobs() if jobs is None else _parse_jobs(jobs, "jobs")
+    value = settings().jobs if jobs is None else parse_jobs(jobs)
     if value == 0:
         return max(1, os.cpu_count() or 1)
     return value
-
-
-class use_jobs:
-    """Context manager that temporarily switches the default job count."""
-
-    def __init__(self, jobs: Union[int, str]):
-        self.jobs = _parse_jobs(jobs, "jobs")
-        self._previous: Optional[int] = None
-
-    def __enter__(self) -> int:
-        self._previous = set_default_jobs(self.jobs)
-        return self.jobs
-
-    def __exit__(self, *exc_info) -> None:
-        assert self._previous is not None
-        set_default_jobs(self._previous)

@@ -18,26 +18,18 @@ Three pillars (see ``docs/resilience.md``):
 from .budget import (
     BudgetExceeded,
     DegradationStage,
-    ENV_ARENA_BUDGET,
-    ENV_MEMORY_BUDGET,
-    ENV_RSS_LIMIT,
     MemorySentinel,
     RunBudget,
-    arena_budget_from_env,
-    parse_bytes,
     process_rss_bytes,
 )
+from ..settings import parse_bytes
 from . import faults
 
 __all__ = [
     "BudgetExceeded",
     "DegradationStage",
-    "ENV_ARENA_BUDGET",
-    "ENV_MEMORY_BUDGET",
-    "ENV_RSS_LIMIT",
     "MemorySentinel",
     "RunBudget",
-    "arena_budget_from_env",
     "faults",
     "parse_bytes",
     "process_rss_bytes",

@@ -25,62 +25,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
+from ..settings import settings
 from ..telemetry import current_tracer
-
-#: Default partition-memory budget (bytes; suffixes ``k``/``m``/``g`` ok).
-ENV_MEMORY_BUDGET = "REPRO_FD_MEMORY_BUDGET"
-
-#: Default process-RSS ceiling (same syntax).
-ENV_RSS_LIMIT = "REPRO_FD_RSS_LIMIT"
-
-#: Byte budget for the host-wide dataset arena (see :mod:`repro.memplane`).
-ENV_ARENA_BUDGET = "REPRO_FD_ARENA_BUDGET"
-
-_UNITS = {
-    "": 1,
-    "b": 1,
-    "k": 1024,
-    "kb": 1024,
-    "m": 1024 ** 2,
-    "mb": 1024 ** 2,
-    "g": 1024 ** 3,
-    "gb": 1024 ** 3,
-}
-
-
-def parse_bytes(value: Union[int, str]) -> int:
-    """Parse a byte count: plain integers or ``"64m"``-style suffixes."""
-    if isinstance(value, int):
-        result = value
-    else:
-        text = value.strip().lower()
-        suffix = text.lstrip("0123456789.")
-        number = text[: len(text) - len(suffix)] if suffix else text
-        try:
-            unit = _UNITS[suffix.strip()]
-            result = int(float(number) * unit)
-        except (KeyError, ValueError):
-            raise ValueError(
-                f"cannot parse byte count {value!r} (use e.g. 1048576, '4m', '1g')"
-            ) from None
-    if result <= 0:
-        raise ValueError(f"byte budget must be positive, got {value!r}")
-    return result
-
-
-def arena_budget_from_env() -> Optional[int]:
-    """The dataset-arena byte budget from ``REPRO_FD_ARENA_BUDGET``.
-
-    Returns None (unlimited) when unset; malformed values raise the
-    same :class:`ValueError` as :func:`parse_bytes` so a bad deployment
-    fails loudly at arena construction, not mid-eviction.
-    """
-    raw = os.environ.get(ENV_ARENA_BUDGET)
-    if raw is None or not raw.strip():
-        return None
-    return parse_bytes(raw)
 
 
 class BudgetExceeded(Exception):
@@ -110,19 +58,18 @@ class RunBudget:
     memory_limit_bytes: Optional[int] = None
     rss_limit_bytes: Optional[int] = None
 
-    @classmethod
-    def from_env(cls, time_limit: Optional[float] = None) -> "RunBudget":
-        """A budget from ``REPRO_FD_MEMORY_BUDGET``/``REPRO_FD_RSS_LIMIT``.
-
-        The chaos CI leg uses these to put the whole test suite under a
-        tight budget without touching call sites.
-        """
-        memory = os.environ.get(ENV_MEMORY_BUDGET)
-        rss = os.environ.get(ENV_RSS_LIMIT)
-        return cls(
-            time_limit=time_limit,
-            memory_limit_bytes=parse_bytes(memory) if memory else None,
-            rss_limit_bytes=parse_bytes(rss) if rss else None,
+    def resolved(self, time_limit: Optional[float] = None) -> "RunBudget":
+        """This budget with every unset field filled: the wall clock from
+        ``time_limit``, the byte ceilings from
+        :func:`~repro.settings.settings` (``REPRO_FD_MEMORY_BUDGET`` /
+        ``REPRO_FD_RSS_LIMIT``, which is how the chaos CI leg puts the
+        whole suite under a budget without touching call sites)."""
+        defaults = settings()
+        memory, rss = self.memory_limit_bytes, self.rss_limit_bytes
+        return RunBudget(
+            time_limit=time_limit if self.time_limit is None else self.time_limit,
+            memory_limit_bytes=defaults.memory_budget if memory is None else memory,
+            rss_limit_bytes=defaults.rss_limit if rss is None else rss,
         )
 
     @property

@@ -38,12 +38,12 @@ from ..ranking.ranker import rank_cover
 from ..relational.fd import FDSet
 from ..relational.io import read_csv_text
 from ..relational.relation import Relation
-from ..core.base import default_checkpoint_interval
+from ..settings import settings
 from ..multitable.discovery import fd_scope, fd_tables
 from ..multitable.provenance import attribute_tables, build_provenance, lift_relation
 from ..telemetry import MetricsRegistry, Tracer, trace_summary, use_tracer
 from .config import ConfigError, JobConfig
-from .journal import WAL_FILENAME, JobJournal, journal_enabled_by_env
+from .journal import WAL_FILENAME, JobJournal
 from .registry import DatasetEntry, DatasetRegistry, UnknownDatasetError
 from .scheduler import Job, JobCancelled, JobScheduler
 from .schemas import SchemaEntry, SchemaIndex, UnknownSchemaError
@@ -93,27 +93,24 @@ class FDService:
         max_workers: int = 2,
         store_dir: Optional[Union[str, Path]] = None,
         dataset_dir: Optional[Union[str, Path]] = None,
-        journal: Optional[bool] = None,
         recover: bool = False,
         checkpoint_interval: Optional[float] = None,
     ):
         """Args:
             max_workers: concurrent discovery runs (scheduler bound).
-            store_dir: persist cached covers here (survives restarts).
+            store_dir: persist cached covers here (survives restarts)
+                and write-ahead log job transitions to ``jobs.wal``
+                beside them (see ``docs/durability.md``).
             dataset_dir: persist registered datasets here too, so a
                 restarted replica still owns its shard (see
                 :mod:`repro.cluster`).
-            journal: write-ahead log job transitions to ``jobs.wal``
-                under ``store_dir`` (see ``docs/durability.md``).
-                ``None`` enables it whenever ``store_dir`` is set and
-                ``REPRO_FD_JOURNAL`` doesn't say otherwise; ``True``
-                forces it on (still needs a ``store_dir``).
             recover: replay the journal on startup — requeue jobs that
                 never started, resume checkpointed ones, mark
                 unrecoverable ones ``lost``.
             checkpoint_interval: seconds between discovery checkpoint
-                emissions (``None`` = ``REPRO_FD_CHECKPOINT_INTERVAL``
-                or 5.0; 0 checkpoints at every level boundary).
+                emissions (``None`` = the ``checkpoint_interval``
+                setting, 5.0 by default; 0 checkpoints at every level
+                boundary).
         """
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
@@ -130,13 +127,12 @@ class FDService:
             persist_dir=(Path(store_dir) / "schemas") if store_dir is not None else None,
         )
         self.checkpoint_interval = (
-            default_checkpoint_interval()
+            settings().checkpoint_interval
             if checkpoint_interval is None
             else max(0.0, checkpoint_interval)
         )
-        enabled = journal if journal is not None else journal_enabled_by_env()
         self.journal: Optional[JobJournal] = None
-        if enabled and store_dir is not None:
+        if store_dir is not None:
             try:
                 self.journal = JobJournal(
                     Path(store_dir) / WAL_FILENAME, count=self._count

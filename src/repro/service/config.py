@@ -22,8 +22,9 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..algorithms.registry import algorithm_names, algorithm_parameters
-from ..resilience import RunBudget, parse_bytes
+from ..algorithms.registry import algorithm_names, make_algorithm
+from ..resilience import RunBudget
+from ..settings import parse_bytes
 
 _ON_LIMIT_POLICIES = ("raise", "partial")
 
@@ -91,14 +92,10 @@ class JobConfig:
                 f"on_dangling must be one of {_ON_DANGLING_POLICIES}, "
                 f"got {self.on_dangling!r}"
             )
-        unknown = sorted(
-            set(self.algorithm_kwargs()) - algorithm_parameters(self.algorithm)
-        )
-        if unknown:
-            raise ConfigError(
-                f"algorithm {self.algorithm!r} takes no "
-                f"{', '.join(map(repr, unknown))} option"
-            )
+        try:  # make_algorithm rejects a kwarg its constructor lacks
+            make_algorithm(self.algorithm, **self.algorithm_kwargs())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_dict(cls, data: Optional[Dict[str, object]]) -> "JobConfig":

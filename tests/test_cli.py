@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.base import DiscoveryAlgorithm
 from repro.relational.io import write_csv
+from repro.settings import Settings, override
 
 
 @pytest.fixture
@@ -279,6 +281,22 @@ class TestLimitFlags:
         )
         constrained = normalized(capsys.readouterr().out)
         assert constrained == unconstrained
+
+    def test_memory_budget_keeps_the_env_rss_ceiling(self, csv_path, monkeypatch):
+        # REPRO_FD_RSS_LIMIT=8g repro discover --memory-budget 64m: the
+        # explicit budget sets one ceiling, the setting still fills the other.
+        used = []
+        resolve = DiscoveryAlgorithm._run_budget
+        monkeypatch.setattr(
+            DiscoveryAlgorithm,
+            "_run_budget",
+            lambda algo: used.append(resolve(algo)) or used[-1],
+        )
+        env = Settings.from_environ({"REPRO_FD_RSS_LIMIT": "8g"})
+        with override(rss_limit=env.rss_limit, memory_budget=None):
+            assert main(["discover", "--csv", csv_path, "--memory-budget", "64m"]) == 0
+        assert used[0].memory_limit_bytes == 64 * 1024 ** 2
+        assert used[0].rss_limit_bytes == 8 * 1024 ** 3
 
     def test_rank_partial_skips_ranking(self, csv_path, capsys):
         assert (

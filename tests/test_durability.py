@@ -26,12 +26,7 @@ from repro.relational.fd_io import cover_to_json
 from repro.relational.null import NullSemantics
 from repro.resilience import faults
 from repro.service import FDService, JobConfig, JobScheduler, ServiceClient, start_in_thread
-from repro.service.journal import (
-    WAL_FILENAME,
-    JobJournal,
-    atomic_write_text,
-    journal_enabled_by_env,
-)
+from repro.service.journal import WAL_FILENAME, JobJournal, atomic_write_text
 from repro.service.scheduler import DONE, LOST, QUEUED
 
 from .conftest import make_random_relation
@@ -469,34 +464,22 @@ class TestCheckpointResume:
 
 
 # ----------------------------------------------------------------------
-# FDService wiring: kill switch, idempotency, end-to-end recovery
+# FDService wiring: idempotency, end-to-end recovery
 # ----------------------------------------------------------------------
 
 
 class TestServiceDurability:
     def test_journal_created_under_store_dir(self, tmp_path):
-        with FDService(store_dir=tmp_path, journal=True) as service:
+        with FDService(store_dir=tmp_path) as service:
             assert service.journal is not None
             assert (tmp_path / WAL_FILENAME).exists()
-
-    def test_env_kill_switch_disables_journal(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FD_JOURNAL", "0")
-        assert not journal_enabled_by_env()
-        with FDService(store_dir=tmp_path) as service:
-            assert service.journal is None
-            entry = service.register_rows(
-                ["a", "b"], [(1, 1), (2, 1), (3, 2)]
-            )
-            job = service.discover(entry.fingerprint, timeout=30.0)
-            assert job.status == DONE
-        assert not (tmp_path / WAL_FILENAME).exists()
 
     def test_no_store_dir_means_no_journal(self):
         with FDService() as service:
             assert service.journal is None
 
     def test_submit_is_journaled_before_return(self, tmp_path):
-        with FDService(store_dir=tmp_path, journal=True) as service:
+        with FDService(store_dir=tmp_path) as service:
             entry = service.register_rows(["a", "b"], [(1, 1), (2, 2)])
             job = service.submit(entry.fingerprint, "discover")
             assert job.job_id in service.journal.jobs
@@ -507,7 +490,7 @@ class TestServiceDurability:
         dataset_dir = tmp_path / "datasets"
         relation = make_random_relation(11)
         with FDService(
-            store_dir=store_dir, dataset_dir=dataset_dir, journal=True
+            store_dir=store_dir, dataset_dir=dataset_dir
         ) as service:
             fingerprint = service.register_relation(relation).fingerprint
         direct = cover_to_json(
@@ -523,7 +506,7 @@ class TestServiceDurability:
 
         with FDService(
             store_dir=store_dir, dataset_dir=dataset_dir,
-            journal=True, recover=True,
+            recover=True,
         ) as service:
             assert service.recovery == {
                 "completed": 0, "requeued": 1, "resumed": 0, "lost": 1,
@@ -542,7 +525,7 @@ class TestServiceDurability:
         dataset_dir = tmp_path / "datasets"
         relation = make_random_relation(27)
         with FDService(
-            store_dir=store_dir, dataset_dir=dataset_dir, journal=True
+            store_dir=store_dir, dataset_dir=dataset_dir
         ) as service:
             fingerprint = service.register_relation(relation).fingerprint
         direct = cover_to_json(
@@ -565,7 +548,7 @@ class TestServiceDurability:
 
         with FDService(
             store_dir=store_dir, dataset_dir=dataset_dir,
-            journal=True, recover=True,
+            recover=True,
         ) as service:
             assert service.recovery["resumed"] == 1
             job = service.scheduler.wait("job-3", timeout=60.0)
@@ -580,7 +563,7 @@ class TestServiceDurability:
             assert metrics["journal"]["jobs"] == 1
 
     def test_http_idempotency_key_dedups(self, tmp_path):
-        service = FDService(store_dir=tmp_path, journal=True)
+        service = FDService(store_dir=tmp_path)
         server, _ = start_in_thread(service)
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}")
         try:
@@ -599,7 +582,7 @@ class TestServiceDurability:
 
     def test_clean_shutdown_compacts_wal(self, tmp_path):
         service = FDService(
-            store_dir=tmp_path, journal=True, checkpoint_interval=0.0
+            store_dir=tmp_path, checkpoint_interval=0.0
         )
         entry = service.register_relation(make_random_relation(27))
         job = service.discover(entry.fingerprint, timeout=60.0)

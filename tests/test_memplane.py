@@ -27,6 +27,7 @@ from repro.relational import attrset
 from repro.relational.relation import Relation
 from repro.resilience import faults
 from repro.service import FDService
+from repro.settings import override
 from tests.conftest import make_random_relation
 
 
@@ -64,12 +65,11 @@ def _memplane_on():
     """Pin the plane on regardless of the CI leg's REPRO_FD_MEMPLANE.
 
     This suite tests the plane itself, so the env kill switch must not
-    blank it out; tests covering the disabled path call
-    ``set_enabled(False)`` explicitly (the override wins either way).
+    blank it out; tests covering the disabled path nest an
+    ``override(memplane=False)`` inside this one.
     """
-    memplane.set_enabled(True)
-    yield
-    memplane.set_enabled(None)
+    with override(memplane=True):
+        yield
 
 
 @pytest.fixture
@@ -290,8 +290,7 @@ class TestBuffersOverArena:
 
     def test_disabled_memplane_uses_private_copy(self, fresh_arena):
         relation = make_random_relation(14)
-        memplane.set_enabled(False)
-        try:
+        with override(memplane=False):
             buffers = SharedRelationBuffers(relation)
             assert not buffers.arena_backed
             assert len(fresh_arena) == 0
@@ -299,8 +298,6 @@ class TestBuffersOverArena:
             assert name in _shm_names()
             buffers.close()
             assert name not in _shm_names()
-        finally:
-            memplane.set_enabled(True)
 
     def test_arena_attach_fault_falls_back_to_private_copy(self, fresh_arena):
         relation = make_random_relation(14)
@@ -335,8 +332,7 @@ class TestPoolLeakHygiene:
 
     def test_pool_broken_with_memplane_off_unlinks_segments(self):
         relation = make_random_relation(15)
-        memplane.set_enabled(False)
-        try:
+        with override(memplane=False):
             executor = ParallelExecutor(relation, jobs=2, retries=0)
             executor.run(
                 "redundancy", self._one_item(), extra={"policy": "include"}
@@ -351,8 +347,6 @@ class TestPoolLeakHygiene:
                 )
             assert name not in _shm_names()
             executor.close()
-        finally:
-            memplane.set_enabled(True)
 
 
 # ----------------------------------------------------------------------
@@ -405,11 +399,8 @@ class TestSharedTier:
         relation = make_random_relation(18)
         assert memplane.tier_for(relation) is memplane.tier_for(relation)
         assert memplane.tier_for(object()) is None  # no fingerprint
-        memplane.set_enabled(False)
-        try:
+        with override(memplane=False):
             assert memplane.tier_for(relation) is None
-        finally:
-            memplane.set_enabled(True)
 
     def test_ranking_identical_cold_warm_and_disabled(self):
         relation = make_random_relation(19)
@@ -417,11 +408,8 @@ class TestSharedTier:
         memplane.reset_tiers()
         cold = rank_cover(relation, cover)
         warm = rank_cover(relation, cover)
-        memplane.set_enabled(False)
-        try:
+        with override(memplane=False):
             off = rank_cover(relation, cover)
-        finally:
-            memplane.set_enabled(True)
         reference = [(r.fd, r.redundancy, r.redundancy_excluding_null)
                      for r in cold.ranked]
         for result in (warm, off):
@@ -445,16 +433,15 @@ class TestCoverDifferential:
         covers = {}
         try:
             for enabled in (True, False):
-                memplane.set_enabled(enabled)
                 for jobs in (1, 2):
                     memplane.reset_tiers()
                     memplane.reset_arena()
-                    result = DHyFD(jobs=jobs, parallel_min_rows=1).discover(
-                        relation
-                    )
+                    with override(memplane=enabled):
+                        result = DHyFD(jobs=jobs, parallel_min_rows=1).discover(
+                            relation
+                        )
                     covers[(enabled, jobs)] = _fd_tuples(result.fds)
         finally:
-            memplane.set_enabled(True)
             memplane.reset_arena()
         reference = covers[(True, 1)]
         assert all(cover == reference for cover in covers.values())
@@ -487,8 +474,7 @@ class TestServiceIntegration:
             assert len(fresh_arena) == 2
 
     def test_disabled_memplane_registers_nothing(self, fresh_arena):
-        memplane.set_enabled(False)
-        try:
+        with override(memplane=False):
             with FDService(max_workers=1) as service:
                 service.register_rows(["a"], [["x"], ["y"]], name="t")
                 payload = service.metrics_payload()
@@ -498,8 +484,6 @@ class TestServiceIntegration:
                     "service.registry.arena_ingests"
                     not in payload["counters"]
                 )
-        finally:
-            memplane.set_enabled(True)
 
 
 # ----------------------------------------------------------------------

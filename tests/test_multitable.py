@@ -14,6 +14,7 @@ service, router and CLI layers surface all of it.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -593,6 +594,16 @@ class TestDiscoveryDifferential:
             b.discovery.fds, schema
         )
 
+    def test_an_option_the_algorithm_lacks_is_a_value_error(self):
+        graph = two_table_graph()
+        with pytest.raises(ValueError, match="'hyfd' takes no 'jobs'"):
+            discover_join_fds(graph, ["child", "parent"], algorithm="hyfd", jobs=2)
+        with pytest.raises(ValueError, match="'tane' takes no 'bogus'"):
+            make_algorithm("tane", bogus=1)
+        a = discover_join_fds(graph, ["child", "parent"], algorithm="dhyfd", jobs=2)
+        b = discover_join_fds(graph, ["child", "parent"], algorithm="hyfd")
+        assert set(a.discovery.fds) == set(b.discovery.fds)
+
     def test_scope_tags_partition_the_cover(self):
         result = discover_join_fds(
             two_table_graph(), ["child", "parent"]
@@ -1125,6 +1136,22 @@ class TestCLIMultitable:
         assert payload["path"] == list(STAR_PATH)
         assert len(payload["fds"]) <= 5
         assert all(f["scope"] in ("intra", "inter") for f in payload["fds"])
+
+    @pytest.mark.parametrize("algorithm", ["hyfd", "dhyfd"])
+    def test_jobs_flag_works_with_every_algorithm(self, algorithm, capsys):
+        # --jobs is the worker default; only DHyFD's constructor takes
+        # it, so the verb must not forward it (HyFD used to TypeError).
+        argv = ["multitable", "--star", "--rows", "40", "--algorithm", algorithm]
+        assert main(argv + ["--jobs", "2"]) == 0
+        with_jobs = capsys.readouterr().out
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+
+        def untimed(out):
+            return re.sub(r"in \d+\.\d+s", "in Xs", out)
+
+        assert with_jobs.startswith(f"{algorithm}: ")
+        assert untimed(with_jobs) == untimed(serial)
 
     def test_csv_mode(self, tmp_path, capsys):
         parent = Relation.from_rows(PARENT_ROWS, PARENT_COLS)

@@ -32,6 +32,7 @@ from repro.ranking.redundancy import (
 from repro.relational import attrset
 from repro.relational.null import NullSemantics
 from repro.resilience import faults
+from repro.settings import Settings, override, settings
 from repro.telemetry import Tracer, use_tracer
 from tests.conftest import make_random_relation
 
@@ -64,19 +65,18 @@ def _stats_signature(stats):
 
 
 class TestJobsResolution:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
-        assert parallel.resolve_jobs() == 1
+    def test_default_is_serial(self):
+        with override(jobs=Settings.from_environ({}).jobs):
+            assert parallel.resolve_jobs() == 1
 
     def test_explicit_value_wins(self):
         assert parallel.resolve_jobs(3) == 3
 
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(parallel.ENV_JOBS, "5")
-        assert parallel.resolve_jobs() == 5
+    def test_env_variable(self):
+        with override(jobs=Settings.from_environ({"REPRO_FD_JOBS": "5"}).jobs):
+            assert parallel.resolve_jobs() == 5
 
-    def test_auto_means_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
+    def test_auto_means_cpu_count(self):
         expected = max(1, os.cpu_count() or 1)
         assert parallel.resolve_jobs(0) == expected
         assert parallel.resolve_jobs("auto") == expected
@@ -87,21 +87,17 @@ class TestJobsResolution:
         with pytest.raises(ValueError):
             parallel.resolve_jobs("many")
 
-    def test_set_default_jobs_round_trip(self, monkeypatch):
-        monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
-        previous = parallel.set_default_jobs(4)
-        try:
+    def test_override_round_trip(self):
+        previous = parallel.resolve_jobs()
+        with override(jobs=4):
             assert parallel.resolve_jobs() == 4
-        finally:
-            parallel.set_default_jobs(previous)
         assert parallel.resolve_jobs() == previous
 
-    def test_use_jobs_context(self, monkeypatch):
-        monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
-        before = parallel.get_default_jobs()
-        with parallel.use_jobs(2):
+    def test_override_context(self):
+        before = settings().jobs
+        with override(jobs=2):
             assert parallel.resolve_jobs() == 2
-        assert parallel.get_default_jobs() == before
+        assert settings().jobs == before
 
 
 # ----------------------------------------------------------------------
@@ -175,11 +171,11 @@ class TestDiscoveryDeterminism:
                 baseline.stats
             )
 
-    def test_jobs_flow_from_env(self, monkeypatch):
+    def test_jobs_flow_from_env(self):
         relation = make_random_relation(5)
         baseline = DHyFD().discover(relation)
-        monkeypatch.setenv(parallel.ENV_JOBS, "2")
-        result = DHyFD(**FORCE_PARALLEL).discover(relation)
+        with override(jobs=Settings.from_environ({"REPRO_FD_JOBS": "2"}).jobs):
+            result = DHyFD(**FORCE_PARALLEL).discover(relation)
         assert set(result.fds) == set(baseline.fds)
         assert _stats_signature(result.stats) == _stats_signature(baseline.stats)
 

@@ -31,7 +31,7 @@ from repro.resilience import (
     faults,
     parse_bytes,
 )
-from repro.resilience.budget import ENV_MEMORY_BUDGET, ENV_RSS_LIMIT
+from repro.settings import Settings, override
 from repro.telemetry import Tracer, use_tracer
 from repro.ucc.discovery import discover_uccs
 from tests.conftest import make_random_relation
@@ -42,12 +42,12 @@ FORCE_PARALLEL = dict(parallel_min_rows=0, parallel_min_candidates=1)
 
 @pytest.fixture(autouse=True)
 def _clean_faults(monkeypatch):
-    """Every test starts and ends with nothing armed anywhere."""
+    """Every test starts and ends with nothing armed anywhere, and no
+    process-wide memory budget (the chaos leg sets one)."""
     monkeypatch.delenv(faults.ENV_FAULTS, raising=False)
-    monkeypatch.delenv(ENV_MEMORY_BUDGET, raising=False)
-    monkeypatch.delenv(ENV_RSS_LIMIT, raising=False)
     faults.reset()
-    yield
+    with override(memory_budget=None, rss_limit=None):
+        yield
     faults.reset()
 
 
@@ -120,17 +120,19 @@ class TestRunBudget:
         assert not budget.limits_memory
         assert budget.time_limit is None
 
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_MEMORY_BUDGET, "4m")
-        monkeypatch.setenv(ENV_RSS_LIMIT, "2g")
-        budget = RunBudget.from_env(time_limit=1.5)
+    def test_from_env(self):
+        env = Settings.from_environ(
+            {"REPRO_FD_MEMORY_BUDGET": "4m", "REPRO_FD_RSS_LIMIT": "2g"}
+        )
+        with override(memory_budget=env.memory_budget, rss_limit=env.rss_limit):
+            budget = RunBudget().resolved(time_limit=1.5)
         assert budget.memory_limit_bytes == 4 * 1024 ** 2
         assert budget.rss_limit_bytes == 2 * 1024 ** 3
         assert budget.time_limit == 1.5
         assert budget.limits_memory
 
     def test_from_env_empty(self):
-        assert not RunBudget.from_env().limits_memory
+        assert not RunBudget().resolved().limits_memory
 
 
 # ----------------------------------------------------------------------
@@ -439,11 +441,12 @@ class TestDegradation:
         assert result.completed
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
 
-    def test_env_budget_applies_without_call_site_changes(self, monkeypatch):
+    def test_env_budget_applies_without_call_site_changes(self):
         relation = make_random_relation(11)
         baseline = DHyFD().discover(relation)
-        monkeypatch.setenv(ENV_MEMORY_BUDGET, "1")
-        result = DHyFD().discover(relation)
+        env = Settings.from_environ({"REPRO_FD_MEMORY_BUDGET": "1"})
+        with override(memory_budget=env.memory_budget):
+            result = DHyFD().discover(relation)
         assert result.completed
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
 

@@ -19,6 +19,7 @@ import pytest
 from repro.algorithms.registry import make_algorithm
 from repro.core.result import DiscoveryResult
 from repro.relational.fd_io import cover_to_json
+from repro.settings import Settings, override
 from repro.service import (
     ConfigError,
     FDService,
@@ -120,6 +121,16 @@ class TestJobConfig:
         JobConfig.from_dict({"algorithm": "dhyfd", "jobs": 2, "ratio_threshold": 2.0})
         JobConfig.from_dict({"algorithm": "hyfd", "sample_efficiency_threshold": 0.1})
         JobConfig.from_dict({"algorithm": "tane", "time_limit": 5, "memory_budget": "1m"})
+
+    def test_memory_budget_keeps_the_env_rss_ceiling(self):
+        config = JobConfig.from_dict({"memory_budget": "64m", "time_limit": 9})
+        algo = make_algorithm(config.algorithm, **config.algorithm_kwargs())
+        env = Settings.from_environ({"REPRO_FD_RSS_LIMIT": "8g"})
+        with override(rss_limit=env.rss_limit, memory_budget=None):
+            budget = algo._run_budget()
+        assert budget.memory_limit_bytes == 64 * 1024 ** 2
+        assert budget.rss_limit_bytes == 8 * 1024 ** 3
+        assert budget.time_limit == 9
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
